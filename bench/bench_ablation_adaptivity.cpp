@@ -112,11 +112,10 @@ int main() {
   std::printf("  %-40s %8.1f s\n", "MPVM + global scheduler", with_mpvm);
   std::printf("  %-40s %8.1f s\n",
               "ADM + global scheduler (data withdraw)", with_adm);
+  const bool pass = with_mpvm < none && with_adm < none && with_adm < with_mpvm;
   std::printf(
       "\n  Shape check (both adaptive systems beat no-migration; ADM's "
       "finer granularity beats doubling processes): %s\n",
-      (with_mpvm < none && with_adm < none && with_adm < with_mpvm)
-          ? "PASS"
-          : "FAIL");
-  return 0;
+      pass ? "PASS" : "FAIL");
+  return pass ? 0 : 1;
 }

@@ -87,12 +87,7 @@ void GsReplica::duty_tick() {
       // (majority_lease_held) to lapse on stale acks and depose a perfectly
       // healthy leader.  3/4 hb keeps the steady-state period at one hb on
       // the tick grid while capping any single gap at one hb.
-      if (now - last_broadcast_ >= 0.75 * hb) {
-        broadcast(GsWireMessage(GsWireMessage::Kind::kHeartbeat, id_, term_,
-                                core_.journal().size()),
-                  /*with_state=*/true);
-        last_broadcast_ = now;
-      }
+      if (now - last_broadcast_ >= 0.75 * hb) heartbeat();
       core_.tick();
       if (!majority_lease_held())
         step_down("lost contact with a majority of replicas");
@@ -138,16 +133,12 @@ void GsReplica::start_election() {
   vote_granted_mask_ = 1ull << id_;
   election_started_ = engine().now();
   ha_->vm().metrics().counter("gs.elections").inc();
-  ha_->vm().trace().log("gs-ha", "replica " + std::to_string(id_) +
-                                     " starts election term=" +
-                                     std::to_string(term_));
+  log("starts election term=" + std::to_string(term_));
   if (votes_ >= ha_->majority()) {  // single-replica deployment
     become_leader();
     return;
   }
-  broadcast(GsWireMessage(GsWireMessage::Kind::kVoteRequest, id_, term_,
-                          core_.journal().size()),
-            /*with_state=*/false);
+  broadcast(message(GsWireMessage::Kind::kVoteRequest), /*with_state=*/false);
 }
 
 void GsReplica::become_leader() {
@@ -172,9 +163,7 @@ void GsReplica::become_leader() {
         .histogram("gs.election.latency")
         .record(now - election_started_);
   ha_->note_leader(id_, term_);
-  ha_->vm().trace().log("gs-ha", "replica " + std::to_string(id_) +
-                                     " becomes leader term=" +
-                                     std::to_string(term_));
+  log("becomes leader term=" + std::to_string(term_));
   // Resume what the previous leader left open (replicated pending vacates,
   // liveness re-baseline), then announce.
   core_.resume_after_failover();
@@ -185,16 +174,11 @@ void GsReplica::become_leader() {
   // journal honest.)
   for (const os::OwnerEvent& ev : pending_events_) {
     if (ev.t < last_heartbeat_) continue;
-    ha_->vm().trace().log("gs-ha", "replica " + std::to_string(id_) +
-                                       " replays owner event from t=" +
-                                       std::to_string(ev.t));
+    log("replays owner event from t=" + std::to_string(ev.t));
     core_.on_owner_event(ev);
   }
   pending_events_.clear();
-  broadcast(GsWireMessage(GsWireMessage::Kind::kHeartbeat, id_, term_,
-                          core_.journal().size()),
-            /*with_state=*/true);
-  last_broadcast_ = now;
+  heartbeat();
 }
 
 void GsReplica::on_owner_event(const os::OwnerEvent& ev) {
@@ -206,23 +190,24 @@ void GsReplica::on_owner_event(const os::OwnerEvent& ev) {
   // between leaders and we are the one who ends up winning the election.
   if (pending_events_.size() >= ha_->policy().pending_event_cap) {
     ++pending_evictions_;
-    ha_->vm().trace().log(
-        "gs-ha", "replica " + std::to_string(id_) +
-                     " pending-event buffer full: dropping oldest (" +
-                     std::to_string(pending_evictions_) + " dropped total)");
+    log("pending-event buffer full: dropping oldest (" +
+        std::to_string(pending_evictions_) + " dropped total)");
     pending_events_.erase(pending_events_.begin());
   }
   pending_events_.push_back(ev);
 }
 
 void GsReplica::step_down(const std::string& why) {
-  ha_->vm().trace().log("gs-ha", "replica " + std::to_string(id_) +
-                                     " steps down term=" +
-                                     std::to_string(term_) + " (" + why +
-                                     ")");
+  log("steps down term=" + std::to_string(term_) + " (" + why + ")");
   role_ = ReplicaRole::kFollower;
   core_.set_active(false);
   last_heartbeat_ = engine().now();
+}
+
+void GsReplica::follow(std::uint64_t term, const std::string& why) {
+  term_ = std::max(term_, term);
+  if (role_ == ReplicaRole::kLeader) step_down(why);
+  role_ = ReplicaRole::kFollower;
 }
 
 void GsReplica::on_message(const GsWireMessage& m) {
@@ -232,30 +217,18 @@ void GsReplica::on_message(const GsWireMessage& m) {
     case GsWireMessage::Kind::kHeartbeat: {
       if (m.term < term_) {
         // Stale leader: the ack carries our newer term so it steps down.
-        post(m.from,
-             GsWireMessage(GsWireMessage::Kind::kHeartbeatAck, id_, term_,
-                           core_.journal().size()),
-             false);
+        post(m.from, message(GsWireMessage::Kind::kHeartbeatAck), false);
         return;
       }
-      if (m.term > term_) term_ = m.term;
-      if (role_ == ReplicaRole::kLeader)
-        step_down("saw a live leader with term " + std::to_string(m.term));
-      role_ = ReplicaRole::kFollower;
+      follow(m.term, "saw a live leader with term " + std::to_string(m.term));
       last_heartbeat_ = now;
       core_.import_state(m.state);
-      post(m.from,
-           GsWireMessage(GsWireMessage::Kind::kHeartbeatAck, id_, term_,
-                         core_.journal().size()),
-           false);
+      post(m.from, message(GsWireMessage::Kind::kHeartbeatAck), false);
       break;
     }
     case GsWireMessage::Kind::kHeartbeatAck: {
       if (m.term > term_) {
-        term_ = m.term;
-        if (role_ == ReplicaRole::kLeader)
-          step_down("a peer reported a newer term");
-        role_ = ReplicaRole::kFollower;
+        follow(m.term, "a peer reported a newer term");
         break;
       }
       if (role_ == ReplicaRole::kLeader && m.term == term_ && m.from >= 0 &&
@@ -272,12 +245,7 @@ void GsReplica::on_message(const GsWireMessage& m) {
       break;
     }
     case GsWireMessage::Kind::kVoteRequest: {
-      if (m.term > term_) {
-        term_ = m.term;
-        if (role_ == ReplicaRole::kLeader)
-          step_down("vote request with newer term");
-        role_ = ReplicaRole::kFollower;
-      }
+      if (m.term > term_) follow(m.term, "vote request with newer term");
       // One vote per term, and only for candidates whose replicated journal
       // is at least as complete as ours (raft-style up-to-date check).
       const bool grant = m.term == term_ && voted_in_term_ < term_ &&
@@ -286,10 +254,7 @@ void GsReplica::on_message(const GsWireMessage& m) {
       if (grant) {
         voted_in_term_ = term_;
         last_heartbeat_ = now;  // granting a vote re-arms our own timer
-        post(m.from,
-             GsWireMessage(GsWireMessage::Kind::kVoteGrant, id_, term_,
-                           core_.journal().size()),
-             false);
+        post(m.from, message(GsWireMessage::Kind::kVoteGrant), false);
       }
       break;
     }
@@ -328,6 +293,19 @@ void GsReplica::on_host_event(os::HostEvent ev) {
     case os::HostEvent::kUnfreeze:
       break;  // the NIC stall already silences a frozen replica
   }
+}
+
+void GsReplica::log(const std::string& what) const {
+  ha_->vm().trace().log("gs-ha", "replica " + std::to_string(id_) + " " + what);
+}
+
+GsWireMessage GsReplica::message(GsWireMessage::Kind kind) const {
+  return GsWireMessage(kind, id_, term_, core_.journal().size());
+}
+
+void GsReplica::heartbeat() {
+  broadcast(message(GsWireMessage::Kind::kHeartbeat), /*with_state=*/true);
+  last_broadcast_ = engine().now();
 }
 
 void GsReplica::broadcast(GsWireMessage m, bool with_state) {
@@ -375,10 +353,7 @@ void GsReplica::on_core_change() {
     co_await sim::Delay(self->engine(), 1e-3);
     self->flush_scheduled_ = false;
     if (self->role_ != ReplicaRole::kLeader || !self->host_->up()) co_return;
-    self->broadcast(GsWireMessage(GsWireMessage::Kind::kHeartbeat, self->id_,
-                                  self->term_, self->core_.journal().size()),
-                    /*with_state=*/true);
-    self->last_broadcast_ = self->engine().now();
+    self->heartbeat();
   };
   sim::spawn(engine(), flush(this));
 }
@@ -412,26 +387,6 @@ HaScheduler::HaScheduler(pvm::PvmSystem& vm, std::vector<os::Host*> hosts,
     replicas_.push_back(std::make_unique<GsReplica>(
         *this, static_cast<int>(i), *hosts[i], timeout));
   }
-}
-
-void HaScheduler::attach(mpvm::Mpvm& m) {
-  m.set_fence(fence_);
-  for (auto& r : replicas_) r->core().attach(m);
-}
-
-void HaScheduler::attach(upvm::Upvm& u) {
-  u.set_fence(fence_);
-  for (auto& r : replicas_) r->core().attach(u);
-}
-
-void HaScheduler::attach(opt::AdmOpt& a) {
-  a.set_fence(fence_);
-  for (auto& r : replicas_) r->core().attach(a);
-}
-
-void HaScheduler::attach(mpvm::Checkpointer& c) {
-  c.set_fence(fence_);
-  for (auto& r : replicas_) r->core().attach(c);
 }
 
 void HaScheduler::attach(load::LoadExchange& x) {

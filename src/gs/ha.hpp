@@ -147,6 +147,14 @@ class GsReplica {
   void start_election();
   void become_leader();
   void step_down(const std::string& why);
+  /// Catch up to `term` and follow, stepping down (for `why`) if leading.
+  void follow(std::uint64_t term, const std::string& why);
+  /// Trace `what` under the "gs-ha" category as "replica <id> <what>".
+  void log(const std::string& what) const;
+  /// A message from this replica at its current term and journal length.
+  [[nodiscard]] GsWireMessage message(GsWireMessage::Kind kind) const;
+  /// Broadcast a heartbeat carrying the durable state, and note when.
+  void heartbeat();
   void broadcast(GsWireMessage m, bool with_state);
   void post(int to, GsWireMessage m, bool with_state);
   [[nodiscard]] bool majority_lease_held() const;
@@ -201,12 +209,14 @@ class HaScheduler {
   HaScheduler(const HaScheduler&) = delete;
   HaScheduler& operator=(const HaScheduler&) = delete;
 
-  /// Forward to every replica core, and install the shared fence into the
-  /// subsystem so stale-epoch commands are refused.
-  void attach(mpvm::Mpvm& m);
-  void attach(upvm::Upvm& u);
-  void attach(opt::AdmOpt& a);
-  void attach(mpvm::Checkpointer& c);
+  /// Install the shared fence into a fenced subsystem (mpvm::Mpvm,
+  /// upvm::Upvm, opt::AdmOpt, mpvm::Checkpointer), so stale-epoch commands
+  /// are refused, and attach it to every replica core.
+  template <class System>
+  void attach(System& s) {
+    s.set_fence(fence_);
+    for (auto& r : replicas_) r->core().attach(s);
+  }
   /// Each replica core reads the gossiped load map held at its *own* host:
   /// whoever is leader decides from the view its workstation actually has.
   void attach(load::LoadExchange& x);

@@ -34,19 +34,16 @@ void GlobalScheduler::on_owner_event(const os::OwnerEvent& ev) {
   if (!active_) return;  // followers observe, only the leader acts
   switch (ev.action) {
     case os::OwnerAction::kReclaim:
-      if (policy_.vacate_on_reclaim) {
-        note("owner reclaimed " + ev.host->name() + ": vacating", true,
-             DecisionReason::kReclaim, ev.host->cpu().load());
-        vacate(*ev.host);
-      }
+    case os::OwnerAction::kArrive: {
+      const bool reclaim = ev.action == os::OwnerAction::kReclaim;
+      if (!(reclaim ? policy_.vacate_on_reclaim : policy_.vacate_on_arrival))
+        break;
+      note((reclaim ? "owner reclaimed " : "owner arrived on ") +
+               ev.host->name() + ": vacating",
+           true, DecisionReason::kReclaim, ev.host->cpu().load());
+      vacate(*ev.host);
       break;
-    case os::OwnerAction::kArrive:
-      if (policy_.vacate_on_arrival) {
-        note("owner arrived on " + ev.host->name() + ": vacating", true,
-             DecisionReason::kReclaim, ev.host->cpu().load());
-        vacate(*ev.host);
-      }
-      break;
+    }
     case os::OwnerAction::kDepart:
       if (adm_ != nullptr && policy_.rejoin_on_depart)
         vacate_adm(*ev.host, /*withdraw=*/false);
@@ -115,224 +112,137 @@ void GlobalScheduler::blacklist(os::Host& host) {
 }
 
 void GlobalScheduler::vacate(os::Host& host) {
-  if (mpvm_ != nullptr) vacate_mpvm(host);
-  if (upvm_ != nullptr) vacate_upvm(host);
+  for (const std::unique_ptr<Mover>& m : movers_) {
+    if (m == nullptr) continue;
+    for (const std::int64_t unit : m->units_on(host)) {
+      // A checkpoint recovery of the same task owns it until it resolves.
+      if (recovering_.contains(unit)) continue;
+      if (!vacating_.insert(unit).second) continue;
+      open_vacate(host.name());
+      sim::spawn(vm_->engine(), vacate_unit(m.get(), unit, &host));
+    }
+  }
   if (adm_ != nullptr) vacate_adm(host, /*withdraw=*/true);
 }
 
-void GlobalScheduler::vacate_mpvm(os::Host& host) {
-  for (pvm::Task* t : vm_->all_tasks()) {
-    if (t->exited() || &t->pvmd().host() != &host) continue;
-    const std::int32_t raw = t->tid().raw();
-    // A checkpoint recovery of the same task owns it until it resolves.
-    if (recovering_.contains(raw)) continue;
-    if (!vacating_.insert(raw).second) continue;
-    open_vacate(host.name());
-    // One recovery driver per task: pick a destination, migrate, and on a
-    // run-time failure (crashed destination, timeout) blacklist the
-    // destination and retry against the next-best host with exponential
-    // backoff.  Every attempt, failure, and retry lands in the journal.
-    // After a failover the new leader re-issues the vacate: the driver
-    // rides out a predecessor's still-in-flight migration instead of
-    // starting a second one, and stands down the moment its core is
-    // deposed.
-    auto driver = [](GlobalScheduler* self, mpvm::Mpvm* m, pvm::Tid victim,
-                     std::string host_name) -> sim::Co<void> {
-      sim::Engine& eng = self->vm_->engine();
-      // One trace per vacate decision: every migration attempt (and its
-      // freeze/flush/transfer/restart stages) is a child of this root.
-      obs::SpanTracer& sp = self->vm_->spans();
-      const obs::SpanId root =
-          sp.begin_span({}, "gs.vacate", "gs", victim.raw());
-      sp.annotate(root, "task", victim.str());
-      sp.annotate(root, "host", host_name);
-      obs::SpanStatus outcome = obs::SpanStatus::kOk;
-      sim::ScopeExit done([self, victim, host_name, &sp, root, &outcome] {
-        sp.end_span(root, outcome);
-        self->vacating_.erase(victim.raw());
-        self->close_vacate(host_name);
-      });
-      sim::Time backoff = self->policy_.retry_backoff;
-      for (int attempt = 1;; ++attempt) {
-        if (!self->active_) co_return;
-        while (m->migrating(victim)) {
-          co_await sim::Delay(eng, 0.2);
-          if (!self->active_) co_return;
-        }
-        pvm::Task* task = self->vm_->find_logical(victim);
-        if (task == nullptr || task->exited()) co_return;
-        os::Host& src = task->pvmd().host();
-        if (src.name() != host_name) co_return;  // already off the host
-        // Claim the first ranked destination whose (src, dst) stream lane
-        // the admission controller has free: k concurrent drain drivers
-        // fan out over k distinct destinations instead of herding onto the
-        // momentarily least-loaded one.  When the whole budget is taken,
-        // wait briefly and revalidate — the task may have moved or exited
-        // while this driver queued.
-        os::Host* to = nullptr;
-        std::uint64_t ticket = 0;
-        for (;;) {
-          const std::vector<os::Host*> ranked =
-              self->ranked_destinations(src);
-          if (ranked.empty()) {
-            self->note("vacate " + victim.str() + " from " + src.name() +
-                           ": no compatible live destination",
-                       false, DecisionReason::kReclaim, src.cpu().load());
-            outcome = obs::SpanStatus::kAborted;
-            co_return;
-          }
-          for (os::Host* cand : ranked) {
-            ticket = self->admit_migration(unit_of(victim), src.name(),
-                                           cand->name());
-            if (ticket != 0) {
-              to = cand;
-              break;
-            }
-          }
-          if (to != nullptr) break;
-          self->vm_->metrics().counter("gs.migration.admission_waits").inc();
-          co_await sim::Delay(eng, 0.3);
-          if (!self->active_) co_return;
-          task = self->vm_->find_logical(victim);
-          if (task == nullptr || task->exited()) co_return;
-          if (task->pvmd().host().name() != host_name) co_return;
-        }
-        self->note("migrate " + victim.str() + " (" + task->program() +
-                       ") " + src.name() + " -> " + to->name(),
-                   true, DecisionReason::kReclaim, src.cpu().load());
-        std::string abandoned;
-        mpvm::MigrationStats st;
-        self->vm_->metrics().counter("gs.migration.attempts").inc();
-        try {
-          st = co_await m->migrate(victim, *to, self->stamp(),
-                                   sp.context_of(root));
-        } catch (const mpvm::MigrationError& e) {
-          abandoned = e.what();
-        }
-        self->release_migration(ticket);
-        if (!abandoned.empty()) {
-          self->note("migration abandoned: " + abandoned, false,
-                     DecisionReason::kReclaim);
-          outcome = obs::SpanStatus::kAborted;
-          co_return;
-        }
-        if (st.ok) {
-          // A vacate move restarts the unit's residency window without
-          // counting against the thrash gate (the policy mandated it).
-          self->engine_.touch(unit_of(victim), eng.now());
-          co_return;
-        }
-        self->note("migration of " + victim.str() + " to " + to->name() +
-                       " failed: " + st.failure,
-                   false, DecisionReason::kReclaim);
-        self->blacklist(*to);
-        if (attempt >= self->policy_.max_migration_retries) {
-          self->note("giving up on vacating " + victim.str() + " after " +
-                         std::to_string(attempt) + " attempts",
-                     false, DecisionReason::kReclaim);
-          outcome = obs::SpanStatus::kAborted;
-          co_return;
-        }
-        self->vm_->metrics().counter("gs.migration.retries").inc();
-        self->note("retrying " + victim.str() + " in " +
-                       std::to_string(backoff) + " s",
-                   true, DecisionReason::kReclaim);
-        co_await sim::Delay(eng, backoff);
-        backoff = self->policy_.next_backoff(backoff);
+Mover* GlobalScheduler::mover_of(std::int64_t unit) const {
+  for (const std::unique_ptr<Mover>& m : movers_)
+    if (m != nullptr && m->owns(unit)) return m.get();
+  return nullptr;
+}
+
+// One recovery driver per unit: pick a destination, migrate, and on a
+// run-time failure (crashed destination, timeout) blacklist the destination
+// and retry against the next-best host with exponential backoff.  Every
+// attempt, failure, and retry lands in the journal.  After a failover the
+// new leader re-issues the vacate: the driver rides out a predecessor's
+// still-in-flight migration instead of starting a second one, and stands
+// down the moment its core is deposed.
+sim::Co<void> GlobalScheduler::vacate_unit(Mover* m, std::int64_t unit,
+                                           os::Host* host) {
+  sim::Engine& eng = vm_->engine();
+  // One trace per vacate decision: every migration attempt (and its
+  // protocol stages) is a child of this root.
+  obs::SpanTracer& sp = vm_->spans();
+  const Mover::SpanTag tag = m->span_tag(unit);
+  const obs::SpanId root = sp.begin_span({}, "gs.vacate", "gs", tag.track);
+  sp.annotate(root, tag.key, tag.value);
+  sp.annotate(root, "host", host->name());
+  obs::SpanStatus outcome = obs::SpanStatus::kOk;
+  sim::ScopeExit done([this, unit, host, &sp, root, &outcome] {
+    sp.end_span(root, outcome);
+    vacating_.erase(unit);
+    close_vacate(host->name());
+  });
+  const std::string name = m->name(unit);
+  sim::Time backoff = policy_.retry_backoff;
+  for (int attempt = 1;; ++attempt) {
+    if (!active_) co_return;
+    while (m->migrating(unit)) {
+      co_await sim::Delay(eng, 0.2);
+      if (!active_) co_return;
+    }
+    os::Host* src = m->host_of(unit);
+    if (src != host) co_return;  // gone, or already off the host
+    // Claim the first ranked destination whose (src, dst) stream lane the
+    // admission controller has free: k concurrent drain drivers fan out
+    // over k distinct destinations instead of herding onto the momentarily
+    // least-loaded one.  When the whole budget is taken, wait briefly and
+    // revalidate — the unit may have moved or exited while this driver
+    // queued.
+    os::Host* to = nullptr;
+    std::uint64_t ticket = 0;
+    for (;;) {
+      const std::vector<os::Host*> ranked = ranked_destinations(*src);
+      if (ranked.empty()) {
+        note("vacate " + name + " from " + src->name() +
+                 ": no compatible live destination",
+             false, DecisionReason::kReclaim, src->cpu().load());
+        outcome = obs::SpanStatus::kAborted;
+        co_return;
       }
-    };
-    sim::spawn(vm_->engine(), driver(this, mpvm_, t->tid(), host.name()));
+      for (os::Host* cand : ranked) {
+        ticket = admit_migration(unit, src->name(), cand->name());
+        if (ticket != 0) {
+          to = cand;
+          break;
+        }
+      }
+      if (to != nullptr) break;
+      vm_->metrics().counter("gs.migration.admission_waits").inc();
+      co_await sim::Delay(eng, 0.3);
+      if (!active_ || m->host_of(unit) != host) co_return;
+    }
+    note("migrate " + m->describe(unit) + " " + src->name() + " -> " +
+             to->name(),
+         true, DecisionReason::kReclaim, src->cpu().load());
+    vm_->metrics().counter("gs.migration.attempts").inc();
+    const Mover::Result r =
+        co_await m->move(unit, *to, stamp(), sp.context_of(root));
+    release_migration(ticket);
+    if (!r.abandoned.empty()) {
+      note("migration abandoned: " + r.abandoned, false,
+           DecisionReason::kReclaim);
+      outcome = obs::SpanStatus::kAborted;
+      co_return;
+    }
+    if (r.ok) {
+      // A vacate move restarts the unit's residency window without
+      // counting against the thrash gate (the policy mandated it).
+      engine_.touch(unit, eng.now());
+      co_return;
+    }
+    note("migration of " + name + " to " + to->name() + " failed: " +
+             r.failure,
+         false, DecisionReason::kReclaim);
+    blacklist(*to);
+    if (attempt >= policy_.max_migration_retries) {
+      note("giving up on vacating " + name + " after " +
+               std::to_string(attempt) + " attempts",
+           false, DecisionReason::kReclaim);
+      outcome = obs::SpanStatus::kAborted;
+      co_return;
+    }
+    vm_->metrics().counter("gs.migration.retries").inc();
+    note("retrying " + name + " in " + std::to_string(backoff) + " s", true,
+         DecisionReason::kReclaim);
+    co_await sim::Delay(eng, backoff);
+    backoff = policy_.next_backoff(backoff);
   }
 }
 
-void GlobalScheduler::vacate_upvm(os::Host& host) {
-  for (int i = 0; i < upvm_->nulps(); ++i) {
-    upvm::Ulp* u = upvm_->ulp(i);
-    if (u == nullptr || u->done() || &u->host() != &host) continue;
-    if (!vacating_ulps_.insert(i).second) continue;
-    open_vacate(host.name());
-    auto driver = [](GlobalScheduler* self, upvm::Upvm* up, int inst,
-                     std::string host_name) -> sim::Co<void> {
-      sim::Engine& eng = self->vm_->engine();
-      obs::SpanTracer& sp = self->vm_->spans();
-      const obs::SpanId root = sp.begin_span({}, "gs.vacate", "gs", inst);
-      sp.annotate(root, "ulp", std::to_string(inst));
-      sp.annotate(root, "host", host_name);
-      obs::SpanStatus outcome = obs::SpanStatus::kOk;
-      sim::ScopeExit done([self, inst, host_name, &sp, root, &outcome] {
-        sp.end_span(root, outcome);
-        self->vacating_ulps_.erase(inst);
-        self->close_vacate(host_name);
-      });
-      sim::Time backoff = self->policy_.retry_backoff;
-      for (int attempt = 1;; ++attempt) {
-        if (!self->active_) co_return;
-        while (up->migrating(inst)) {
-          co_await sim::Delay(eng, 0.2);
-          if (!self->active_) co_return;
-        }
-        upvm::Ulp* ulp = up->ulp(inst);
-        if (ulp == nullptr || ulp->done()) co_return;
-        os::Host& src = ulp->host();
-        if (src.name() != host_name) co_return;  // already off the host
-        os::Host* to = self->pick_destination(src);
-        if (to == nullptr) {
-          self->note("vacate ULP" + std::to_string(inst) + " from " +
-                         src.name() + ": no compatible live destination",
-                     false, DecisionReason::kReclaim, src.cpu().load());
-          outcome = obs::SpanStatus::kAborted;
-          co_return;
-        }
-        self->note("migrate ULP" + std::to_string(inst) + " " + src.name() +
-                       " -> " + to->name(),
-                   true, DecisionReason::kReclaim, src.cpu().load());
-        std::string abandoned;
-        upvm::UlpMigrationStats st;
-        self->vm_->metrics().counter("gs.migration.attempts").inc();
-        try {
-          st = co_await up->migrate_ulp(inst, *to, self->stamp(),
-                                        sp.context_of(root));
-        } catch (const Error& e) {
-          abandoned = e.what();
-        }
-        if (!abandoned.empty()) {
-          self->note("ULP migration abandoned: " + abandoned, false,
-                     DecisionReason::kReclaim);
-          outcome = obs::SpanStatus::kAborted;
-          co_return;
-        }
-        if (st.ok) {
-          self->engine_.touch(unit_of_ulp(inst), eng.now());
-          co_return;
-        }
-        self->note("migration of ULP" + std::to_string(inst) + " to " +
-                       to->name() + " failed: " + st.failure,
-                   false, DecisionReason::kReclaim);
-        self->blacklist(*to);
-        if (attempt >= self->policy_.max_migration_retries) {
-          self->note("giving up on vacating ULP" + std::to_string(inst) +
-                         " after " + std::to_string(attempt) + " attempts",
-                     false, DecisionReason::kReclaim);
-          outcome = obs::SpanStatus::kAborted;
-          co_return;
-        }
-        self->vm_->metrics().counter("gs.migration.retries").inc();
-        self->note("retrying ULP" + std::to_string(inst) + " in " +
-                       std::to_string(backoff) + " s",
-                   true, DecisionReason::kReclaim);
-        co_await sim::Delay(eng, backoff);
-        backoff = self->policy_.next_backoff(backoff);
-      }
-    };
-    sim::spawn(vm_->engine(), driver(this, upvm_, i, host.name()));
-  }
+os::Host* GlobalScheduler::adm_host(int s) const {
+  if (s >= adm_->slaves_spawned()) return nullptr;
+  const pvm::Task* t = vm_->find_logical(adm_->slave_tid(s));
+  return t == nullptr || t->exited() ? nullptr : &t->pvmd().host();
 }
 
+// ADM is not a mover: a withdraw/rejoin has no destination and no stream,
+// and a spawned driver would reorder it against same-instant events, so the
+// event is posted synchronously to every slave living on the host.
 void GlobalScheduler::vacate_adm(os::Host& host, bool withdraw) {
-  // Find ADM slaves living on this host and post withdraw/rejoin events.
   for (int s = 0; s < adm_->slaves_spawned(); ++s) {
-    pvm::Task* t = vm_->find_logical(adm_->slave_tid(s));
-    if (t == nullptr || t->exited() || &t->pvmd().host() != &host) continue;
+    if (adm_host(s) != &host) continue;
     obs::SpanTracer& sp = vm_->spans();
     const obs::SpanId root = sp.begin_span({}, "gs.vacate", "gs", s);
     sp.annotate(root, "slave", std::to_string(s));
@@ -465,25 +375,24 @@ void GlobalScheduler::heartbeat_tick() {
 void GlobalScheduler::watchdog_tick() {
   const sim::Time now = vm_->engine().now();
   // Adopted entries belong to a deposed leader's streams: drop each as soon
-  // as the migration layer no longer shows its unit in flight.  Non-task
-  // units (ULP/ADM ranges) cannot be queried and their streams are short,
-  // so they are reaped outright.
+  // as the owning mover no longer shows its unit in flight (a unit no
+  // attached mover owns has nobody to wait for).
   admission_.reap_adopted([this](std::int64_t unit) {
-    if (mpvm_ == nullptr || unit >= (std::int64_t{1} << 40)) return false;
-    return mpvm_->migrating(pvm::Tid(static_cast<std::int32_t>(unit)));
+    const Mover* m = mover_of(unit);
+    return m != nullptr && m->migrating(unit);
   });
-  if (mpvm_ == nullptr) return;
+  // Stalled streams are aborted where the owning system can roll one back
+  // (MPVM); the rest keep their slot until they resolve.
   for (const load::AdmissionController::InFlight& f :
        admission_.stalled(now, policy_.migration_watchdog)) {
-    if (f.unit >= (std::int64_t{1} << 40)) continue;  // only MPVM streams
-    const pvm::Tid victim(static_cast<std::int32_t>(f.unit));
-    if (!mpvm_->request_abort(victim, "gs watchdog: in flight " +
-                                          std::to_string(now - f.since) +
-                                          " s"))
+    Mover* m = mover_of(f.unit);
+    if (m == nullptr ||
+        !m->abort(f.unit, "gs watchdog: in flight " +
+                              std::to_string(now - f.since) + " s"))
       continue;
     vm_->metrics().counter("gs.migration.watchdog_aborts").inc();
-    note("watchdog: aborting stalled migration of " + victim.str() + " (" +
-             f.from + " -> " + f.to + ", in flight " +
+    note("watchdog: aborting stalled migration of " + m->name(f.unit) +
+             " (" + f.from + " -> " + f.to + ", in flight " +
              std::to_string(now - f.since) + " s)",
          false);
   }
@@ -492,11 +401,10 @@ void GlobalScheduler::watchdog_tick() {
 void GlobalScheduler::handle_host_down(os::Host& host) {
   for (pvm::Task* t : vm_->all_tasks()) {
     if (&t->pvmd().host() != &host) continue;
-    const std::int32_t raw = t->tid().raw();
     if (t->exited()) {
       // Died in the crash with no checkpoint to fall back on: the work is
       // gone, and the journal is where that loss is recorded.
-      if (reported_lost_.insert(raw).second)
+      if (reported_lost_.insert(t->tid().raw()).second)
         note("task " + t->tid().str() + " (" + t->program() +
                  ") lost in crash of " + host.name() + "; work is lost",
              false);
@@ -504,69 +412,63 @@ void GlobalScheduler::handle_host_down(os::Host& host) {
     }
     // Stranded but crash-recoverable: restart from the last checkpoint.
     if (ckpt_ == nullptr || !ckpt_->watches(t->tid())) continue;
-    if (!recovering_.insert(raw).second) continue;
-    auto driver = [](GlobalScheduler* self, pvm::Tid victim,
-                     os::Host* from) -> sim::Co<void> {
-      sim::Engine& eng = self->vm_->engine();
-      obs::SpanTracer& sp = self->vm_->spans();
-      const obs::SpanId root =
-          sp.begin_span({}, "gs.recover", "gs", victim.raw());
-      sp.annotate(root, "task", victim.str());
-      sp.annotate(root, "host", from->name());
-      obs::SpanStatus outcome = obs::SpanStatus::kOk;
-      sim::ScopeExit clear([self, victim, &sp, root, &outcome] {
-        sp.end_span(root, outcome);
-        self->recovering_.erase(victim.raw());
-      });
-      // A vacate migration of the victim may still be in flight (it will
-      // roll back against the dead source), or a predecessor leader's
-      // recovery may still be running; let either resolve first so the two
-      // paths can never resurrect the task twice.
-      while ((self->mpvm_ != nullptr && self->mpvm_->migrating(victim)) ||
-             self->ckpt_->recovering(victim)) {
-        co_await sim::Delay(eng, 0.2);
-        if (!self->active_) co_return;
-      }
-      // Deposed (or never became leader): the recovery belongs to whoever
-      // holds the current term now.  Without this check a deposed core with
-      // no migration in flight would fall straight through to recover().
-      if (!self->active_) co_return;
-      pvm::Task* task = self->vm_->find_logical(victim);
-      if (task == nullptr || task->exited()) co_return;
-      // The in-flight migration relocated it after all: nothing to recover.
-      if (&task->pvmd().host() != from && task->pvmd().host().up())
-        co_return;
-      os::Host* to = self->pick_destination(*from);
-      if (to == nullptr) {
-        self->note("recover " + victim.str() +
-                       ": no compatible live destination",
-                   false);
-        outcome = obs::SpanStatus::kAborted;
-        co_return;
-      }
-      self->note("recovering " + victim.str() + " from checkpoint onto " +
-                     to->name(),
-                 true);
-      std::string failed;
-      try {
-        const mpvm::CkptVacateStats st =
-            co_await self->ckpt_->recover(victim, *to, self->stamp(),
-                                          sp.context_of(root));
-        self->note("recovered " + victim.str() + " onto " + to->name() +
-                       " (redoing " + std::to_string(st.redo_work) +
-                       " s of lost work)",
-                   true);
-      } catch (const Error& e) {
-        failed = e.what();
-      }
-      if (!failed.empty()) {
-        self->note("checkpoint recovery of " + victim.str() + " failed: " +
-                       failed,
-                   false);
-        outcome = obs::SpanStatus::kAborted;
-      }
-    };
-    sim::spawn(vm_->engine(), driver(this, t->tid(), &host));
+    if (!recovering_.insert(task_unit(t->tid())).second) continue;
+    sim::spawn(vm_->engine(), recover_task(t->tid(), &host));
+  }
+}
+
+sim::Co<void> GlobalScheduler::recover_task(pvm::Tid victim, os::Host* from) {
+  sim::Engine& eng = vm_->engine();
+  obs::SpanTracer& sp = vm_->spans();
+  const obs::SpanId root = sp.begin_span({}, "gs.recover", "gs", victim.raw());
+  sp.annotate(root, "task", victim.str());
+  sp.annotate(root, "host", from->name());
+  obs::SpanStatus outcome = obs::SpanStatus::kOk;
+  const std::int64_t unit = task_unit(victim);
+  sim::ScopeExit clear([this, unit, &sp, root, &outcome] {
+    sp.end_span(root, outcome);
+    recovering_.erase(unit);
+  });
+  // A vacate migration of the victim may still be in flight (it will roll
+  // back against the dead source), or a predecessor leader's recovery may
+  // still be running; let either resolve first so the two paths can never
+  // resurrect the task twice.
+  const Mover* m = mover_of(unit);
+  while ((m != nullptr && m->migrating(unit)) || ckpt_->recovering(victim)) {
+    co_await sim::Delay(eng, 0.2);
+    if (!active_) co_return;
+  }
+  // Deposed (or never became leader): the recovery belongs to whoever holds
+  // the current term now.  Without this check a deposed core with no
+  // migration in flight would fall straight through to recover().
+  if (!active_) co_return;
+  pvm::Task* task = vm_->find_logical(victim);
+  if (task == nullptr || task->exited()) co_return;
+  // The in-flight migration relocated it after all: nothing to recover.
+  if (&task->pvmd().host() != from && task->pvmd().host().up()) co_return;
+  os::Host* to = pick_destination(*from);
+  if (to == nullptr) {
+    note("recover " + victim.str() + ": no compatible live destination",
+         false);
+    outcome = obs::SpanStatus::kAborted;
+    co_return;
+  }
+  note("recovering " + victim.str() + " from checkpoint onto " + to->name(),
+       true);
+  std::string failed;
+  try {
+    const mpvm::CkptVacateStats st =
+        co_await ckpt_->recover(victim, *to, stamp(), sp.context_of(root));
+    note("recovered " + victim.str() + " onto " + to->name() + " (redoing " +
+             std::to_string(st.redo_work) + " s of lost work)",
+         true);
+  } catch (const Error& e) {
+    failed = e.what();
+  }
+  if (!failed.empty()) {
+    note("checkpoint recovery of " + victim.str() + " failed: " + failed,
+         false);
+    outcome = obs::SpanStatus::kAborted;
   }
 }
 
@@ -575,25 +477,17 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
   views.reserve(vm_->daemons().size());
   const sim::Time now = vm_->engine().now();
 
-  // Movable units per host: MPVM tasks, ULPs, ADM slaves that currently
-  // live there.  (The legacy Threshold policy ignores this; the index
-  // policies use it to avoid aiming at hosts with nothing to shed.)
+  // Movable units per host, one pass per system: MPVM tasks, ULPs, ADM
+  // slaves that currently live there.  (The legacy Threshold policy ignores
+  // this; the index policies use it to avoid aiming at hosts with nothing to
+  // shed.)
   std::unordered_map<const os::Host*, int> movable;
-  if (mpvm_ != nullptr) {
-    for (pvm::Task* t : vm_->all_tasks())
-      if (!t->exited()) ++movable[&t->pvmd().host()];
-  }
-  if (upvm_ != nullptr) {
-    for (int i = 0; i < upvm_->nulps(); ++i) {
-      upvm::Ulp* u = upvm_->ulp(i);
-      if (u != nullptr && !u->done()) ++movable[&u->host()];
-    }
-  }
+  for (const std::unique_ptr<Mover>& m : movers_)
+    if (m != nullptr)
+      m->for_each_unit([&](std::int64_t, os::Host& h) { ++movable[&h]; });
   if (adm_ != nullptr) {
-    for (int s = 0; s < adm_->slaves_spawned(); ++s) {
-      pvm::Task* t = vm_->find_logical(adm_->slave_tid(s));
-      if (t != nullptr && !t->exited()) ++movable[&t->pvmd().host()];
-    }
+    for (int s = 0; s < adm_->slaves_spawned(); ++s)
+      if (os::Host* h = adm_host(s)) ++movable[h];
   }
 
   for (const auto& d : vm_->daemons()) {
@@ -706,81 +600,22 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
     sp.end_span(dec, obs::SpanStatus::kOk);
     return root;
   };
-  if (mpvm_ != nullptr) {
-    // Move one task.
-    for (pvm::Task* t : vm_->all_tasks()) {
-      if (t->exited() || &t->pvmd().host() != &host) continue;
-      if (mpvm_->migrating(t->tid())) continue;
-      if (!engine_.may_move(unit_of(t->tid()), now, policy_.min_residency))
-        continue;
+  for (const std::unique_ptr<Mover>& m : movers_) {
+    if (m == nullptr) continue;
+    for (const std::int64_t unit : m->units_on(host)) {
+      if (m->migrating(unit)) continue;
+      if (!engine_.may_move(unit, now, policy_.min_residency)) continue;
       const std::uint64_t ticket =
-          admit_migration(unit_of(t->tid()), host.name(), dst->name());
+          admit_migration(unit, host.name(), dst->name());
       if (ticket == 0) {
         vm_->metrics().counter("gs.migration.admission_refused").inc();
         break;
       }
-      const obs::SpanId root = open_spans(t->tid().raw());
-      vm_->spans().annotate(root, "task", t->tid().str());
-      auto driver = [](GlobalScheduler* self, mpvm::Mpvm* m, pvm::Tid victim,
-                       os::Host* to, obs::SpanId span,
-                       std::uint64_t tk) -> sim::Co<void> {
-        obs::SpanTracer& sp = self->vm_->spans();
-        try {
-          const mpvm::MigrationStats st = co_await m->migrate(
-              victim, *to, self->stamp(), sp.context_of(span));
-          sp.end_span(span, st.ok ? obs::SpanStatus::kOk
-                                  : obs::SpanStatus::kAborted);
-          if (st.ok)
-            self->engine_.record_move(unit_of(victim),
-                                      self->vm_->engine().now(),
-                                      self->policy_.min_residency);
-        } catch (const mpvm::MigrationError& e) {
-          sp.end_span(span, obs::SpanStatus::kAborted);
-          self->note(std::string("migration abandoned: ") + e.what(), false,
-                     DecisionReason::kRebalance);
-        }
-        self->release_migration(tk);
-      };
+      const Mover::SpanTag tag = m->span_tag(unit);
+      const obs::SpanId root = open_spans(tag.track);
+      vm_->spans().annotate(root, tag.key, tag.value);
       sim::spawn(vm_->engine(),
-                 driver(this, mpvm_, t->tid(), dst, root, ticket));
-      break;
-    }
-  }
-  if (upvm_ != nullptr) {
-    for (int i = 0; i < upvm_->nulps(); ++i) {
-      upvm::Ulp* u = upvm_->ulp(i);
-      if (u == nullptr || u->done() || &u->host() != &host) continue;
-      if (!engine_.may_move(unit_of_ulp(i), now, policy_.min_residency))
-        continue;
-      const std::uint64_t ticket =
-          admit_migration(unit_of_ulp(i), host.name(), dst->name());
-      if (ticket == 0) {
-        vm_->metrics().counter("gs.migration.admission_refused").inc();
-        break;
-      }
-      const obs::SpanId root = open_spans(i);
-      vm_->spans().annotate(root, "ulp", std::to_string(i));
-      auto driver = [](GlobalScheduler* self, upvm::Upvm* up, int inst,
-                       os::Host* to, obs::SpanId span,
-                       std::uint64_t tk) -> sim::Co<void> {
-        obs::SpanTracer& sp = self->vm_->spans();
-        try {
-          const upvm::UlpMigrationStats st = co_await up->migrate_ulp(
-              inst, *to, self->stamp(), sp.context_of(span));
-          sp.end_span(span, st.ok ? obs::SpanStatus::kOk
-                                  : obs::SpanStatus::kAborted);
-          if (st.ok)
-            self->engine_.record_move(unit_of_ulp(inst),
-                                      self->vm_->engine().now(),
-                                      self->policy_.min_residency);
-        } catch (const Error& e) {
-          sp.end_span(span, obs::SpanStatus::kAborted);
-          self->note(std::string("ULP migration abandoned: ") + e.what(),
-                     false, DecisionReason::kRebalance);
-        }
-        self->release_migration(tk);
-      };
-      sim::spawn(vm_->engine(), driver(this, upvm_, i, dst, root, ticket));
+                 rebalance_unit(m.get(), unit, dst, root, ticket));
       break;
     }
   }
@@ -793,27 +628,21 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
       weights.reserve(static_cast<std::size_t>(adm_->nslaves()));
       for (int s = 0; s < adm_->nslaves(); ++s) {
         double w = 1.0;
-        if (s < adm_->slaves_spawned()) {
-          pvm::Task* t = vm_->find_logical(adm_->slave_tid(s));
-          if (t != nullptr && !t->exited()) {
-            os::Host& h = t->pvmd().host();
-            double index = h.cpu().load();
-            if (exchange_ != nullptr && gs_host_ != nullptr) {
-              if (const load::LoadEntry* e =
-                      exchange_->entry_at(*gs_host_, h.name()))
-                index = e->index;
-            }
-            w = h.cpu().speed() / (1.0 + index);
+        if (os::Host* h = adm_host(s)) {
+          double index = h->cpu().load();
+          if (exchange_ != nullptr && gs_host_ != nullptr) {
+            if (const load::LoadEntry* e =
+                    exchange_->entry_at(*gs_host_, h->name()))
+              index = e->index;
           }
+          w = h->cpu().speed() / (1.0 + index);
         }
         weights.push_back(w);
       }
       adm_->set_partition_weights(std::move(weights));
     }
     for (int s = 0; s < adm_->slaves_spawned(); ++s) {
-      pvm::Task* t = vm_->find_logical(adm_->slave_tid(s));
-      if (t == nullptr || t->exited() || &t->pvmd().host() != &host)
-        continue;
+      if (adm_host(s) != &host) continue;
       if (!engine_.may_move(unit_of_slave(s), now, policy_.min_residency))
         continue;
       obs::SpanTracer& sp = vm_->spans();
@@ -828,6 +657,21 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
       break;
     }
   }
+}
+
+sim::Co<void> GlobalScheduler::rebalance_unit(Mover* m, std::int64_t unit,
+                                              os::Host* to, obs::SpanId span,
+                                              std::uint64_t ticket) {
+  obs::SpanTracer& sp = vm_->spans();
+  const Mover::Result r =
+      co_await m->move(unit, *to, stamp(), sp.context_of(span));
+  sp.end_span(span, r.ok ? obs::SpanStatus::kOk : obs::SpanStatus::kAborted);
+  if (r.ok)
+    engine_.record_move(unit, vm_->engine().now(), policy_.min_residency);
+  if (!r.abandoned.empty())
+    note("migration abandoned: " + r.abandoned, false,
+         DecisionReason::kRebalance);
+  release_migration(ticket);
 }
 
 void GlobalScheduler::monitor_tick() {

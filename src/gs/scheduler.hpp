@@ -11,14 +11,17 @@
 //   * load threshold — a host got too busy, move work to the least-loaded
 //     compatible host (effectiveness, §1).
 //
-// The GS drives whichever method is attached: MPVM process migration, UPVM
-// ULP migration, or ADM withdraw/rejoin events.
+// The GS drives whichever method is attached: MPVM process migration and
+// UPVM ULP migration through the one mover contract (gs/mover.hpp), ADM
+// withdraw/rejoin events by direct post.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -27,12 +30,11 @@
 #include <vector>
 
 #include "apps/opt/adm_opt.hpp"
+#include "gs/mover.hpp"
 #include "load/exchange.hpp"
 #include "load/placement.hpp"
 #include "mpvm/checkpoint.hpp"
-#include "mpvm/mpvm.hpp"
 #include "os/owner.hpp"
-#include "upvm/upvm.hpp"
 
 namespace cpe::gs {
 
@@ -206,8 +208,8 @@ class GlobalScheduler {
   GlobalScheduler(const GlobalScheduler&) = delete;
   GlobalScheduler& operator=(const GlobalScheduler&) = delete;
 
-  void attach(mpvm::Mpvm& m) { mpvm_ = &m; }
-  void attach(upvm::Upvm& u) { upvm_ = &u; }
+  void attach(mpvm::Mpvm& m) { movers_[0] = make_mover(m); }
+  void attach(upvm::Upvm& u) { movers_[1] = make_mover(u); }
   void attach(opt::AdmOpt& a) { adm_ = &a; }
   /// With a Checkpointer attached, tasks it watches are restarted from
   /// their last checkpoint when their host crashes (heartbeat-driven).
@@ -323,9 +325,18 @@ class GlobalScheduler {
   [[nodiscard]] pvm::PvmSystem& vm() const noexcept { return *vm_; }
 
  private:
-  void vacate_mpvm(os::Host& host);
-  void vacate_upvm(os::Host& host);
+  /// Get `unit` off `host`: admission, ranked destinations, retry with
+  /// backoff and blacklisting, one "gs.vacate" span.  Scalars and pointers
+  /// only by value (the GCC 12 coroutine rule).
+  sim::Co<void> vacate_unit(Mover* m, std::int64_t unit, os::Host* host);
+  /// Move one rebalanced unit under an already admitted `ticket`.
+  sim::Co<void> rebalance_unit(Mover* m, std::int64_t unit, os::Host* to,
+                               obs::SpanId span, std::uint64_t ticket);
+  /// The attached mover whose id range holds `unit`, or nullptr.
+  [[nodiscard]] Mover* mover_of(std::int64_t unit) const;
   void vacate_adm(os::Host& host, bool withdraw);
+  /// Where ADM slave `s` lives; nullptr once it exited or was never spawned.
+  [[nodiscard]] os::Host* adm_host(int s) const;
   void monitor_tick();
   void heartbeat_tick();
   /// Abort migrations stalled past `migration_watchdog` and reap adopted
@@ -341,23 +352,18 @@ class GlobalScheduler {
   /// readings always, gossiped index + age when an exchange is attached.
   [[nodiscard]] std::vector<load::HostLoadView> build_views() const;
   [[nodiscard]] load::PlacementParams placement_params() const;
-  /// Launch the method drivers for one placement action (one victim per
-  /// attached method, exactly like the legacy monitor).
+  /// Launch one rebalance per attached method for one placement action (one
+  /// victim each, exactly like the legacy monitor).
   void execute_rebalance(const load::PlacementAction& action);
   /// Crash fallout: report lost tasks, launch checkpoint recoveries.
   void handle_host_down(os::Host& host);
+  /// Restart crash-stranded `victim` from its last checkpoint.
+  sim::Co<void> recover_task(pvm::Tid victim, os::Host* from);
   void blacklist(os::Host& host);
   void note(std::string what, bool ok,
             DecisionReason reason = DecisionReason::kNone, double load = 0);
 
-  /// Hysteresis unit ids: tids, ULP instances and ADM slaves share the
-  /// engine's residency table via disjoint 64-bit ranges.
-  [[nodiscard]] static std::int64_t unit_of(pvm::Tid tid) noexcept {
-    return tid.raw();
-  }
-  [[nodiscard]] static std::int64_t unit_of_ulp(int inst) noexcept {
-    return (std::int64_t{1} << 40) + inst;
-  }
+  /// ADM slave `s`'s unit id, in the range the movers leave to ADM.
   [[nodiscard]] static std::int64_t unit_of_slave(int s) noexcept {
     return (std::int64_t{1} << 41) + s;
   }
@@ -376,8 +382,8 @@ class GlobalScheduler {
   GsPolicy policy_;
   load::PlacementEngine engine_;
   load::AdmissionController admission_;
-  mpvm::Mpvm* mpvm_ = nullptr;
-  upvm::Upvm* upvm_ = nullptr;
+  /// The attached movers in vacate order: MPVM tasks, then UPVM ULPs.
+  std::array<std::unique_ptr<Mover>, 2> movers_;
   opt::AdmOpt* adm_ = nullptr;
   mpvm::Checkpointer* ckpt_ = nullptr;
   load::LoadExchange* exchange_ = nullptr;
@@ -395,7 +401,7 @@ class GlobalScheduler {
   std::unordered_map<const os::Host*, sim::Time> blacklist_until_;
   std::unordered_map<const os::Host*, bool> host_up_;
   std::unordered_set<std::int32_t> reported_lost_;
-  std::unordered_set<std::int32_t> recovering_;
+  std::unordered_set<std::int64_t> recovering_;  ///< task units
 
   // -- HA state --------------------------------------------------------------
   bool active_ = true;
@@ -404,10 +410,9 @@ class GlobalScheduler {
   /// Per-host queueing pressure for HostLoadView::outstanding (service
   /// workloads; nullptr for batch).
   std::function<double(const os::Host&)> pressure_;
-  /// Tasks/ULPs that already have a vacate retry-driver running (prevents
-  /// duplicate drivers when a vacate is re-issued after failover).
-  std::unordered_set<std::int32_t> vacating_;
-  std::unordered_set<int> vacating_ulps_;
+  /// Units that already have a vacate driver running (prevents duplicate
+  /// drivers when a vacate is re-issued after failover).
+  std::unordered_set<std::int64_t> vacating_;
   /// Host name -> open vacate drivers; a host stays "pending" in the
   /// replicated state until every driver for it has wound down.
   std::unordered_map<std::string, int> vacate_open_;

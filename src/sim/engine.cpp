@@ -28,15 +28,26 @@ void CalendarQueue::push(Entry e) {
   ++count_;
 }
 
+std::uint64_t CalendarQueue::bucket_of(Time t) const noexcept {
+  // floor(t * inv_width_) can land one off the window bounds, which are the
+  // products v * width_: with width 40.6, t = 203 gives 4.999999999999999
+  // although 5 * width_ == 203.  Step to the bucket whose product bounds
+  // hold t, or the entry sits one bucket below its window and pops a lap
+  // late.
+  const auto v = static_cast<std::uint64_t>(t * inv_width_);
+  if (static_cast<Time>(v + 1) * width_ <= t) return v + 1;
+  if (v > 0 && static_cast<Time>(v) * width_ > t) return v - 1;
+  return v;
+}
+
 void CalendarQueue::place(Entry e) {
   if (count_ == 0) {
     // Empty queue: re-anchor the window at this entry, wherever virtual time
     // has wandered, so it lands in the heap directly.  Without this, a long
     // idle gap would strand the anchor far behind and push every new entry
     // through overflow + rebuild.
-    const double q = e.t * inv_width_;
-    if (q < kMaxVirtualBucket) {
-      vcur_ = static_cast<std::uint64_t>(q);
+    if (e.t * inv_width_ < kMaxVirtualBucket) {
+      vcur_ = bucket_of(e.t);
       bucket_top_ = static_cast<Time>(vcur_ + 1) * width_;
     }
   }
@@ -48,13 +59,12 @@ void CalendarQueue::place(Entry e) {
     std::push_heap(cur_heap_.begin(), cur_heap_.end(), EntryAfter{});
     return;
   }
-  const double q = e.t * inv_width_;
   // The negated comparison routes NaN/inf timestamps to overflow too.
-  if (!(q < kMaxVirtualBucket)) {
+  if (!(e.t * inv_width_ < kMaxVirtualBucket)) {
     push_overflow(e);
     return;
   }
-  const std::uint64_t v = static_cast<std::uint64_t>(q);
+  const std::uint64_t v = bucket_of(e.t);
   // More than one wheel revolution out: park in overflow rather than letting
   // a far-future entry alias into the live lap, where every drained window
   // would have to sweep past it.  position() adopts overflow entries as the
@@ -133,8 +143,7 @@ bool CalendarQueue::position() {
           if (min == nullptr || entry_less(e, *min)) min = &e;
       CPE_ASSERT(min != nullptr);
       // Re-anchor the window at the minimum's own virtual bucket, sweep it.
-      const double q = min->t * inv_width_;
-      vcur_ = static_cast<std::uint64_t>(q);
+      vcur_ = bucket_of(min->t);
       bucket_top_ = static_cast<Time>(vcur_ + 1) * width_;
       const bool swept = sweep_bucket();
       CPE_ASSERT(swept);
@@ -245,9 +254,7 @@ void CalendarQueue::rebuild(std::size_t nbuckets) {
       have = true;
     }
   }
-  double q0 = have ? tmin * inv_width_ : 0.0;
-  if (!(q0 < kMaxVirtualBucket)) q0 = 0.0;
-  vcur_ = static_cast<std::uint64_t>(q0);
+  vcur_ = have && tmin * inv_width_ < kMaxVirtualBucket ? bucket_of(tmin) : 0;
   bucket_top_ = static_cast<Time>(vcur_ + 1) * width_;
 
   for (const Entry& e : all) place(e);  // count_ unchanged

@@ -226,6 +226,10 @@ class CalendarQueue {
   static constexpr std::size_t kMinBuckets = 16;
 
   void init_if_needed();
+  /// Virtual bucket v of a wheel-mappable `t`, chosen so that
+  /// v * width_ <= t < (v + 1) * width_ holds for the products the window
+  /// bounds use, not just for the quotient.
+  [[nodiscard]] std::uint64_t bucket_of(Time t) const noexcept;
   /// Route one entry to the heap, a bucket, or overflow.  No bookkeeping.
   void place(Entry e);
   /// Park a far-future entry in the overflow min-heap.

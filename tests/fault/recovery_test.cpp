@@ -264,6 +264,20 @@ GsRetryOutcome run_gs_retry_scenario() {
 TEST(GsRecovery, FailedVacateIsRetriedAgainstNextBestHost) {
   const GsRetryOutcome out = run_gs_retry_scenario();
 
+  // The whole narrative, byte for byte: vacate, fail, blacklist, backoff,
+  // retry.  Any driver change that rewords or reorders it shows up here.
+  const std::vector<std::pair<std::string, bool>> pinned = {
+      {"migrate t0.1 (worker) host1 -> host2", true},
+      {"migration of t0.1 to host2 failed: host crashed during skeleton start",
+       false},
+      {"blacklisting host2 for 10.000000 s (drops=0, delivery_errors=0, "
+       "duplicates=0, corrupt=0)",
+       true},
+      {"retrying t0.1 in 0.500000 s", true},
+      {"migrate t0.1 (worker) host1 -> host3", true},
+  };
+  EXPECT_EQ(out.journal, pinned);
+
   std::vector<gs::Decision> journal;
   for (const auto& [what, ok] : out.journal)
     journal.emplace_back(0.0, what, ok);

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace cpe::gs {
 namespace {
 
@@ -330,59 +335,115 @@ TEST_F(GsEnv, ThresholdJournalTextIsByteIdenticalToTheLegacyFormat) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(GsEnv, ConcurrentVacateFansOutAcrossPairLanes) {
-  mpvm::Mpvm mpvm(vm);
-  GsPolicy policy;
-  policy.max_concurrent_migrations = 2;
-  GlobalScheduler gs(vm, policy);
-  gs.attach(mpvm);
-  vm.register_program("worker", [&](Task& t) -> sim::Co<void> {
-    t.process().image().data_bytes = 50'000;
-    co_await t.compute(60.0);
-  });
-  auto driver = [&]() -> sim::Proc {
-    co_await vm.spawn("worker", 2, "host1");
-    co_await sim::Delay(eng, 5.0);
-    os::OwnerEvent ev(eng.now(), host1, os::OwnerAction::kReclaim, 1);
-    gs.on_owner_event(ev);
-  };
-  sim::spawn(eng, driver());
-  eng.run_until(30.0);
-  // Both tasks left, and the per-pair lane rule forced the two concurrent
-  // streams onto distinct destinations instead of piling onto host2.
-  ASSERT_EQ(mpvm.history().size(), 2u);
-  EXPECT_TRUE(mpvm.history()[0].ok);
-  EXPECT_TRUE(mpvm.history()[1].ok);
-  EXPECT_NE(mpvm.history()[0].to_host, mpvm.history()[1].to_host);
-  EXPECT_EQ(gs.admission().active(), 0u);  // every ticket released
+/// The vacate contract is the same whichever system moves the units: two
+/// movable units sit on host1 — two MPVM tasks, or ULP0 and ULP3 of six
+/// round-robin ULPs — and the owner reclaims host1 at t = 5.
+enum class Units { kMpvmTasks, kUpvmUlps };
+
+void PrintTo(Units u, std::ostream* os) {
+  *os << (u == Units::kMpvmTasks ? "MpvmTasks" : "UpvmUlps");
 }
 
-TEST_F(GsEnv, VacateWaitsForAnAdmissionSlotWhenBudgetIsOne) {
-  mpvm::Mpvm mpvm(vm);
+struct GsVacate : GsEnv, ::testing::WithParamInterface<Units> {
+  /// One completed move: destination and its [order, resumed] window.
+  struct Move {
+    std::string to;
+    sim::Time start = 0;
+    sim::Time end = 0;
+  };
+
+  std::optional<mpvm::Mpvm> mpvm;
+  std::optional<upvm::Upvm> upvm;
+  std::optional<GlobalScheduler> gs;
+
+  void reclaim_host1(GsPolicy policy, sim::Time until) {
+    gs.emplace(vm, policy);
+    if (GetParam() == Units::kMpvmTasks) {
+      mpvm.emplace(vm);
+      gs->attach(*mpvm);
+      vm.register_program("worker", [](Task& t) -> sim::Co<void> {
+        t.process().image().data_bytes = 50'000;
+        co_await t.compute(200.0);
+      });
+      sim::spawn(eng, [](pvm::PvmSystem* v) -> sim::Proc {
+        co_await v->spawn("worker", 2, "host1");
+      }(&vm));
+    } else {
+      upvm.emplace(vm);
+      gs->attach(*upvm);
+      sim::spawn(eng, upvm->start());
+      eng.run();
+      upvm->run_spmd(
+          [](upvm::Ulp& u) -> sim::Co<void> {
+            u.set_data_bytes(50'000);
+            co_await u.compute(200.0);
+          },
+          6);  // host1: 0,3; host2: 1,4; host3: 2,5
+    }
+    os::ScriptedOwner owner(
+        eng, {os::OwnerEvent(5.0, host1, os::OwnerAction::kReclaim, 1)});
+    owner.set_observer(
+        [&](const os::OwnerEvent& ev) { gs->on_owner_event(ev); });
+    owner.start();
+    eng.run_until(until);
+    EXPECT_EQ(gs->admission().active(), 0u);  // every ticket released
+  }
+
+  [[nodiscard]] std::vector<Move> moves() const {
+    std::vector<Move> out;
+    if (mpvm)
+      for (const mpvm::MigrationStats& s : mpvm->history())
+        out.push_back({s.to_host, s.event_time, s.restart_done});
+    if (upvm)
+      for (const upvm::UlpMigrationStats& s : upvm->history())
+        out.push_back({s.to_host, s.event_time, s.accept_done});
+    return out;
+  }
+
+  [[nodiscard]] bool host1_drained() const {
+    if (mpvm) {
+      for (Task* t : vm.all_tasks())
+        if (&t->pvmd().host() == &host1) return false;
+    }
+    if (upvm) {
+      for (int i = 0; i < upvm->nulps(); ++i)
+        if (&upvm->ulp(i)->host() == &host1) return false;
+    }
+    return true;
+  }
+};
+
+TEST_P(GsVacate, ConcurrentVacateFansOutAcrossPairLanes) {
+  GsPolicy policy;
+  policy.max_concurrent_migrations = 2;
+  reclaim_host1(policy, 90.0);
+  // Both units left, and the per-pair lane rule forced the two concurrent
+  // streams onto distinct destinations instead of piling onto host2.
+  const std::vector<Move> m = moves();
+  ASSERT_EQ(m.size(), 2u);
+  EXPECT_NE(m[0].to, m[1].to);
+  EXPECT_TRUE(host1_drained());
+}
+
+TEST_P(GsVacate, VacateWaitsForAnAdmissionSlotWhenBudgetIsOne) {
   GsPolicy policy;
   policy.max_concurrent_migrations = 1;
-  GlobalScheduler gs(vm, policy);
-  gs.attach(mpvm);
-  vm.register_program("worker", [&](Task& t) -> sim::Co<void> {
-    t.process().image().data_bytes = 50'000;
-    co_await t.compute(60.0);
-  });
-  auto driver = [&]() -> sim::Proc {
-    co_await vm.spawn("worker", 2, "host1");
-    co_await sim::Delay(eng, 5.0);
-    os::OwnerEvent ev(eng.now(), host1, os::OwnerAction::kReclaim, 1);
-    gs.on_owner_event(ev);
-  };
-  sim::spawn(eng, driver());
-  eng.run_until(30.0);
+  reclaim_host1(policy, 90.0);
   // The second vacate driver had to wait for the first ticket to free up,
-  // but the host still drains completely: admission delays, never deadlocks.
-  ASSERT_EQ(mpvm.history().size(), 2u);
+  // so the two streams never overlap, but the host still drains completely:
+  // admission delays, never deadlocks.
+  const std::vector<Move> m = moves();
+  ASSERT_EQ(m.size(), 2u);
+  EXPECT_TRUE(m[0].end <= m[1].start || m[1].end <= m[0].start)
+      << "[" << m[0].start << ", " << m[0].end << "] overlaps [" << m[1].start
+      << ", " << m[1].end << "]";
   EXPECT_GE(vm.metrics().counter("gs.migration.admission_waits").value(), 1u);
-  for (Task* t : vm.all_tasks())
-    EXPECT_NE(&t->pvmd().host(), &host1) << t->tid().str();
-  EXPECT_EQ(gs.admission().active(), 0u);
+  EXPECT_TRUE(host1_drained());
 }
+
+INSTANTIATE_TEST_SUITE_P(Movers, GsVacate,
+                         ::testing::Values(Units::kMpvmTasks,
+                                           Units::kUpvmUlps));
 
 TEST_F(GsEnv, WatchdogAbortsStalledMigrationAndTaskSurvives) {
   mpvm::Mpvm mpvm(vm);
@@ -433,6 +494,54 @@ TEST_F(GsEnv, InFlightMigrationsSurviveFailover) {
   gs2.tick();
   EXPECT_EQ(gs2.admission().active(), 0u);
   EXPECT_TRUE(gs2.admission().would_admit("host1", "host2"));
+}
+
+TEST_F(GsEnv, AdoptedUlpAdmissionOutlivesFailoverUntilTheMoveResolves) {
+  upvm::Upvm upvm(vm);
+  GlobalScheduler gs1(vm);
+  GlobalScheduler gs2(vm);
+  gs1.attach(upvm);
+  gs2.attach(upvm);
+  sim::spawn(eng, upvm.start());
+  eng.run();
+  upvm.run_spmd(
+      [](upvm::Ulp& u) -> sim::Co<void> {
+        u.set_data_bytes(2'000'000);  // seconds of transfer
+        co_await u.compute(200.0);
+      },
+      2);  // ULP0 on host1, ULP1 on host2
+  // gs1 vacates host1, then is deposed mid-transfer: gs2 takes over from
+  // gs1's replicated state and ticks every quarter second.  The adopted ULP
+  // stream must hold its admission slot exactly as long as UPVM still shows
+  // ULP0 migrating.
+  std::vector<std::pair<bool, std::size_t>> ticks;  // (migrating, active)
+  auto driver = [](sim::Engine* e, upvm::Upvm* up, GlobalScheduler* leader,
+                   GlobalScheduler* successor, os::Host* host,
+                   std::vector<std::pair<bool, std::size_t>>* out)
+      -> sim::Proc {
+    co_await sim::Delay(*e, 1.0);
+    leader->vacate(*host);
+    co_await sim::Delay(*e, 0.5);
+    leader->set_active(false);
+    successor->import_state(leader->export_state());
+    for (int i = 0; i < 400; ++i) {
+      successor->tick();
+      out->emplace_back(up->migrating(0), successor->admission().active());
+      if (!up->migrating(0)) break;
+      co_await sim::Delay(*e, 0.25);
+    }
+  };
+  sim::spawn(eng, driver(&eng, &upvm, &gs1, &gs2, &host1, &ticks));
+  eng.run_until(120.0);
+  ASSERT_GE(ticks.size(), 3u);
+  for (std::size_t i = 0; i + 1 < ticks.size(); ++i) {
+    EXPECT_TRUE(ticks[i].first) << "tick " << i;
+    EXPECT_EQ(ticks[i].second, 1u) << "tick " << i;
+  }
+  // Reaped on the first tick after the move finished, and it did move.
+  EXPECT_FALSE(ticks.back().first);
+  EXPECT_EQ(ticks.back().second, 0u);
+  EXPECT_NE(&upvm.ulp(0)->host(), &host1);
 }
 
 }  // namespace

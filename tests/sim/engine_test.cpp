@@ -496,5 +496,43 @@ TEST(Engine, OverflowEntriesFireInOrderAsWindowAdvances) {
   EXPECT_EQ(fired, expect);
 }
 
+TEST(Engine, CalendarBucketEdgesNeverPopALapLate) {
+  // Golden-model fuzz straight over the queue: 2-40 timers with integer
+  // periods (GS polls, heartbeats, analytics windows) plus random one-shots
+  // that keep the bucket width moving.  Integer timestamps keep landing
+  // exactly on a bucket edge v * width, where a bucket index taken as
+  // floor(t * (1 / width)) can fall one below the window whose bound is the
+  // product (v + 1) * width — and such an entry pops a whole lap late.  A
+  // min-queue must hand out (t, seq) in non-decreasing order.
+  constexpr std::uint32_t kOneShot = ~0u;
+  std::string out_of_order;
+  for (std::uint64_t seed = 0; seed < 2000; ++seed) {
+    std::mt19937_64 rng(seed);
+    detail::CalendarQueue q;
+    std::uint64_t seq = 0;
+    std::vector<double> period(2 + rng() % 39);
+    for (std::size_t i = 0; i < period.size(); ++i) {
+      period[i] = static_cast<double>(1 + rng() % 12);
+      q.push({period[i], seq++, static_cast<std::uint32_t>(i), 0});
+    }
+    detail::Entry last{0.0, 0, 0, 0};
+    for (int pop = 0; pop < 400; ++pop) {
+      const detail::Entry e = q.pop();
+      if (e.t < last.t || (e.t == last.t && e.seq < last.seq)) {
+        out_of_order += " seed " + std::to_string(seed) + ": t=" +
+                        std::to_string(e.t) + " after t=" +
+                        std::to_string(last.t) + ";";
+        break;
+      }
+      last = e;
+      if (e.slot != kOneShot)
+        q.push({e.t + period[e.slot], seq++, e.slot, 0});
+      if (rng() % 4 == 0)
+        q.push({e.t + static_cast<double>(rng() % 60), seq++, kOneShot, 0});
+    }
+  }
+  EXPECT_TRUE(out_of_order.empty()) << out_of_order;
+}
+
 }  // namespace
 }  // namespace cpe::sim
