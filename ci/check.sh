@@ -27,6 +27,10 @@
 #                          # recorder armed), assert exactly one
 #                          # flight_*.json landed, and replay the embedded
 #                          # span tail offline (DESIGN.md §14)
+#   ci/check.sh digest REV # digest parity: build perfbench at git revision
+#                          # REV (a temporary worktree) and in the working
+#                          # tree, run every workload once at seeds 1 and
+#                          # 7919, and fail on any differing digest line
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -504,6 +508,63 @@ run_audit() {
   validate_trace build/BENCH_trace.json
 }
 
+# Digest parity against a revision: perfbench's digest hashes the GS
+# journal, the migration histories and the gossip counters, so a change
+# that must not alter one decision has to reproduce it on every workload.
+# `--seconds 0` runs each workload's fixed repetitions once.  REV is checked
+# out with `git worktree` into a temporary directory, and each side builds
+# into its own CARGO_TARGET_DIR there.
+run_digest() {
+  local rev="$1"
+  local sha
+  if ! sha="$(git rev-parse --verify --quiet "$rev^{commit}")"; then
+    echo "check.sh digest: unknown revision '$rev'" >&2
+    exit 2
+  fi
+  local tmp
+  tmp="$(mktemp -d)"
+  # shellcheck disable=SC2064  # expand $tmp now: it is local
+  trap "git worktree remove --force '$tmp/rev' >/dev/null 2>&1 || true;
+        rm -rf '$tmp'" EXIT
+  git worktree add --detach --quiet "$tmp/rev" "$sha"
+  if [[ ! -f "$tmp/rev/perfbench/run.py" ]]; then
+    echo "check.sh digest: $rev has no perfbench/run.py" >&2
+    exit 2
+  fi
+  local w s side out diff=0
+  for w in fleet_churn svc_storm paper_reclaim; do
+    for s in 1 7919; do
+      for side in rev work; do
+        local root=.
+        [[ "$side" == rev ]] && root="$tmp/rev"
+        out="$tmp/$side-$w-$s.txt"
+        if ! ( cd "$root" && CARGO_TARGET_DIR="$tmp/build-$side" \
+               python3 perfbench/run.py --workload "$w" --seed "$s" \
+                 --seconds 0 ) > "$out" 2> "$tmp/$side-build.log"; then
+          cat "$tmp/$side-build.log" "$out" >&2
+          echo "check.sh digest: $w seed $s failed at $side" >&2
+          exit 1
+        fi
+      done
+      local want got
+      want="$(grep -m1 '^  digest ' "$tmp/rev-$w-$s.txt" || true)"
+      got="$(grep -m1 '^  digest ' "$tmp/work-$w-$s.txt" || true)"
+      if [[ -n "$want" && "$want" == "$got" ]]; then
+        printf '  %-14s seed %-5s %s\n' "$w" "$s" "${got#  }"
+      else
+        printf '  %-14s seed %-5s DIFFERS: %s at %s, %s here\n' "$w" "$s" \
+          "${want#  }" "$rev" "${got#  }"
+        diff=1
+      fi
+    done
+  done
+  if [[ "$diff" != 0 ]]; then
+    echo "check.sh digest: digests differ from $rev" >&2
+    exit 1
+  fi
+  echo "digest parity with $rev: PASS"
+}
+
 # The property sweeps (migration x fault, load placement, adversarial
 # network) carry a ctest `sweep` label and simulate minutes of virtual time
 # per cell; run them on their own with a generous per-test timeout so a
@@ -610,6 +671,13 @@ case "$mode" in
   slo)
     run_bench_slo
     ;;
+  digest)
+    if [[ $# -lt 2 || -z "$2" ]]; then
+      echo "usage: $0 digest <rev>" >&2
+      exit 2
+    fi
+    run_digest "$2"
+    ;;
   all)
     run_suite build
     run_suite build-asan -DCPE_SANITIZE=address
@@ -619,7 +687,7 @@ case "$mode" in
     run_bench_slo
     ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all|digest <rev>]" >&2
     exit 2
     ;;
 esac

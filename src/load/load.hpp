@@ -11,6 +11,7 @@
 // wherever it runs instead of touching every CPU each tick.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,11 +24,21 @@ namespace cpe::load {
 /// own 1023, the replicated-GS wire owns 1022.)
 inline constexpr std::uint16_t kLoadPort = 1021;
 
+/// One host's load reading without its name: what the exchange stores per
+/// host slot and gossips.  The origin stamp travels beside it.
+struct LoadSample {
+  double index = 0;        ///< smoothed load index (sensor EWMA)
+  double instant = 0;      ///< raw runnable count at the sample instant
+  int external_jobs = 0;   ///< owner jobs in that count
+  bool owner_active = false;
+  bool up = true;
+};
+
 /// One host's load as known somewhere on the worknet.  `stamp` is the
 /// virtual time the *origin* sensor took the sample; age = now - stamp.
 ///
-/// User-provided constructors (not an aggregate): entries ride inside
-/// gossip payloads into send coroutines; see net::Datagram's GCC 12 note.
+/// User-provided constructors (not an aggregate), like every type that
+/// rides by value into a coroutine; see net::Datagram's GCC 12 note.
 struct LoadEntry {
   std::string host;        ///< origin host name
   double index = 0;        ///< smoothed load index (sensor EWMA)
@@ -48,29 +59,28 @@ struct LoadEntry {
         owner_active(owner_active_),
         up(up_),
         stamp(stamp_) {}
+  LoadEntry(std::string host_, const LoadSample& s, sim::Time stamp_)
+      : LoadEntry(std::move(host_), s.index, s.instant, s.external_jobs,
+                  s.owner_active, s.up, stamp_) {}
 };
 
-/// Gossip payload: the sender's freshest entries (its own always first).
+/// Gossip payload: the sender's freshest entries (its own always first),
+/// each naming its origin by the exchange's dense host id.  One immutable
+/// payload per round is shared by every peer send.
 struct LoadGossip {
-  std::string origin;  ///< sending host name
-  std::vector<LoadEntry> entries;
-
-  LoadGossip() noexcept {}
-  LoadGossip(std::string origin_, std::vector<LoadEntry> entries_)
-      : origin(std::move(origin_)), entries(std::move(entries_)) {}
+  struct Entry {
+    std::uint32_t host = 0;  ///< origin host id
+    sim::Time stamp = 0;     ///< origin sample time
+    LoadSample sample;
+  };
+  std::vector<Entry> entries;
 };
 
-/// Wire model of one gossip datagram: a fixed header plus a packed entry
-/// (8 B index + 8 B instant + 8 B stamp + 4 B external + 2 B flags + the
-/// host name) per vector slot.
+/// What one gossip datagram is charged on the wire: a fixed header, and
+/// nothing for the entries it carries.  That undercount is the charge the
+/// simulator has always made (ROADMAP O15 has the defect and the full-size
+/// formula); changing it moves every gossiping run's virtual-time results,
+/// so it stays put until a change means to move them.
 inline constexpr std::size_t kGossipHeaderBytes = 16;
-inline constexpr std::size_t kGossipEntryFixedBytes = 30;
-
-[[nodiscard]] inline std::size_t gossip_wire_bytes(const LoadGossip& g) {
-  std::size_t n = kGossipHeaderBytes + g.origin.size();
-  for (const LoadEntry& e : g.entries)
-    n += kGossipEntryFixedBytes + e.host.size();
-  return n;
-}
 
 }  // namespace cpe::load

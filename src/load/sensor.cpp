@@ -43,10 +43,13 @@ void LoadSensor::ingest(double v) {
 
 void LoadSensor::sample() { ingest(host_->cpu().load()); }
 
+LoadSample LoadSensor::reading() const {
+  const int external = host_->cpu().external_jobs();
+  return LoadSample{index_, instant_, external, external > 0, host_->up()};
+}
+
 LoadEntry LoadSensor::entry() const {
-  return LoadEntry(host_->name(), index_, instant_,
-                   host_->cpu().external_jobs(),
-                   host_->cpu().external_jobs() > 0, host_->up(), last_);
+  return LoadEntry(host_->name(), reading(), last_);
 }
 
 void LoadSensor::start(sim::Time until) {

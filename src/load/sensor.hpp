@@ -53,7 +53,9 @@ class LoadSensor {
   /// observer drives it on every runnable-set change).
   void sample();
 
-  /// The sensor's current state as a gossip entry stamped `now`.
+  /// The sensor's current state, stamped last_sample().
+  [[nodiscard]] LoadSample reading() const;
+  /// reading() as a named entry.
   [[nodiscard]] LoadEntry entry() const;
 
   /// Start the periodic poll until `until` (virtual time).

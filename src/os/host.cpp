@@ -155,8 +155,8 @@ void Host::unfreeze() {
 
 void Host::notify(HostEvent ev) {
   // Copy: an observer may add observers (e.g. a recovery driver attaching).
-  const std::vector<Observer> obs = observers_;
-  for (const auto& o : obs) o(*this, ev);
+  const auto obs = observers_;
+  for (const auto& [id, o] : obs) o(*this, ev);
 }
 
 }  // namespace cpe::os

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -209,8 +210,15 @@ class Host {
   void unfreeze();
 
   /// Observers fire synchronously inside crash()/recover()/freeze()/
-  /// unfreeze(), after the host state has changed.
-  void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
+  /// unfreeze(), after the host state has changed.  The returned id
+  /// removes the observer again, for owners that die before the host.
+  std::uint64_t add_observer(Observer obs) {
+    observers_.emplace_back(++last_observer_, std::move(obs));
+    return last_observer_;
+  }
+  void remove_observer(std::uint64_t id) {
+    std::erase_if(observers_, [id](const auto& o) { return o.first == id; });
+  }
 
  private:
   void notify(HostEvent ev);
@@ -224,7 +232,8 @@ class Host {
   bool up_ = true;
   bool frozen_ = false;
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<Observer> observers_;
+  std::vector<std::pair<std::uint64_t, Observer>> observers_;
+  std::uint64_t last_observer_ = 0;
 };
 
 }  // namespace cpe::os

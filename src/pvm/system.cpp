@@ -224,6 +224,8 @@ PvmSystem::PvmSystem(sim::Engine& eng, net::Network& net,
   metrics_.add_collector([this](obs::MetricsRegistry& reg) {
     const auto& dg = net_->datagrams();
     reg.gauge("net.datagrams.sent").set(static_cast<double>(dg.datagrams_sent()));
+    reg.gauge("net.datagrams.unreliable_sent")
+        .set(static_cast<double>(dg.unreliable_sent()));
     reg.gauge("net.datagram.bytes_sent")
         .set(static_cast<double>(dg.payload_bytes_sent()));
     reg.gauge("net.fragments.retransmitted")
@@ -350,6 +352,12 @@ sim::Co<Task*> PvmSystem::spawn_one(const std::string& program, Pvmd& pvmd,
       std::make_unique<Task>(*this, pvmd, proc, tid, parent, program);
   Task* t = owned.get();
   by_logical_[tid.raw()] = std::move(owned);
+  // Tids grow per daemon, not VM-wide: insert in logical-tid order.
+  registry_.insert(std::upper_bound(registry_.begin(), registry_.end(), t,
+                                    [](const Task* a, const Task* b) {
+                                      return a->tid() < b->tid();
+                                    }),
+                   t);
   current_to_logical_[tid.raw()] = tid.raw();
   pvmd.attach(*t);
   ++live_tasks_;
@@ -406,18 +414,6 @@ Tid PvmSystem::resolve_current(Tid maybe_stale) const {
     t = it->second;
   }
   throw Error("resolve_current: forwarding cycle");
-}
-
-std::vector<Task*> PvmSystem::all_tasks() const {
-  std::vector<Task*> out;
-  out.reserve(by_logical_.size());
-  for (const auto& [raw, t] : by_logical_) out.push_back(t.get());
-  // The flat map's iteration order changes across rehash; sort by logical
-  // tid so scans over the registry are deterministic run to run.
-  std::sort(out.begin(), out.end(), [](const Task* a, const Task* b) {
-    return a->tid().raw() < b->tid().raw();
-  });
-  return out;
 }
 
 bool PvmSystem::is_local(const Task& from, Tid dst) const {

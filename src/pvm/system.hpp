@@ -208,8 +208,12 @@ class PvmSystem {
   [[nodiscard]] Tid resolve_current(Tid maybe_stale) const;
   /// Every registered task, sorted by logical tid (a stable order: the GS
   /// victim scans and checkpoint sweeps iterate this, and determinism
-  /// invariant 8 extends to "same decision every run").
-  [[nodiscard]] std::vector<Task*> all_tasks() const;
+  /// invariant 8 extends to "same decision every run").  Kept sorted as
+  /// tasks spawn, so a scan costs no sort; a spawn may reallocate it, so
+  /// copy it before iterating across a suspension point.
+  [[nodiscard]] const std::vector<Task*>& all_tasks() const noexcept {
+    return registry_;
+  }
 
   // -- Routing --------------------------------------------------------------
   /// Hand a message from `from` to the transport (the back half of
@@ -357,8 +361,9 @@ class PvmSystem {
   std::vector<std::unique_ptr<Pvmd>> daemons_;
   std::unordered_map<std::string, TaskMain> programs_;
   // Flat open-addressing registries (util::FlatMap): looked up per routed
-  // message.  Iteration order is unspecified; all_tasks() sorts.
+  // message.  Iteration order is unspecified; registry_ holds the order.
   util::FlatMap<std::int32_t, std::unique_ptr<Task>> by_logical_;
+  std::vector<Task*> registry_;  ///< every task, by logical tid
   util::FlatMap<std::int32_t, std::int32_t> current_to_logical_;
   util::FlatMap<std::int32_t, std::int32_t> forward_;
   util::FlatMap<std::int32_t, std::uint64_t> reloc_epoch_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <utility>
@@ -26,6 +27,39 @@ struct GsEnv : ::testing::Test {
     vm.add_host(host3);
   }
 };
+
+TEST_F(GsEnv, MoverUnitsOnFollowTheSortedRegistry) {
+  mpvm::Mpvm mpvm(vm);
+  const std::unique_ptr<Mover> mover = make_mover(mpvm);
+  vm.register_program("short", [](Task& t) -> sim::Co<void> {
+    co_await t.compute(1.0);
+  });
+  vm.register_program("long", [](Task& t) -> sim::Co<void> {
+    co_await t.compute(60.0);
+  });
+  auto driver = [&]() -> sim::Proc {
+    co_await vm.spawn("long", 5);
+    co_await vm.spawn("short", 4);
+    co_await vm.spawn("long", 3, "host2");
+  };
+  sim::spawn(eng, driver());
+  eng.run_until(10.0);  // the short tasks have exited by now
+
+  std::vector<Task*> sorted = vm.all_tasks();
+  std::sort(sorted.begin(), sorted.end(), [](const Task* a, const Task* b) {
+    return a->tid().raw() < b->tid().raw();
+  });
+  std::size_t live = 0;
+  for (const os::Host* h : {&host1, &host2, &host3}) {
+    std::vector<std::int64_t> want;
+    for (const Task* t : sorted)
+      if (!t->exited() && &t->pvmd().host() == h)
+        want.push_back(task_unit(t->tid()));
+    EXPECT_EQ(mover->units_on(*h), want) << "on " << h->name();
+    live += want.size();
+  }
+  EXPECT_EQ(live, 8u);
+}
 
 TEST_F(GsEnv, PickDestinationPrefersLeastLoaded) {
   GlobalScheduler gs(vm);

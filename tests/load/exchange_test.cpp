@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "support/pvm_fixture.hpp"
@@ -87,8 +88,79 @@ TEST_F(WorknetFixture, GossipUsesUnreliableDatagrams) {
   LoadExchange x(vm);
   x.start(10.0);
   eng.run_until(10.0);
-  EXPECT_GT(net.datagrams().unreliable_sent(), 0u);
+  (void)vm.metrics().snapshot();  // runs the transport collector
+  const obs::Gauge* unreliable =
+      vm.metrics().find_gauge("net.datagrams.unreliable_sent");
+  ASSERT_NE(unreliable, nullptr);
+  EXPECT_GT(unreliable->value(), 0.0);
+  EXPECT_EQ(unreliable->value(),
+            static_cast<double>(net.datagrams().unreliable_sent()));
+  // net.datagrams.sent counts reliable sends only: none on this worknet.
+  const obs::Gauge* reliable = vm.metrics().find_gauge("net.datagrams.sent");
+  ASSERT_NE(reliable, nullptr);
+  EXPECT_EQ(reliable->value(), 0.0);
   EXPECT_GT(vm.metrics().counter("load.gossip.sent").value(), 0u);
+}
+
+// ROADMAP O15: a gossip datagram is charged kGossipHeaderBytes whatever its
+// vector holds, the charge the simulator has always made.  Pinned on a
+// worknet that carries nothing but gossip, so the charge, and every
+// virtual-time result it feeds, can only change on purpose.
+TEST_F(WorknetFixture, GossipIsChargedItsHeaderBytesOnly) {
+  LoadExchange x(vm);
+  x.start(10.0);
+  eng.run_until(10.0);
+  const net::DatagramService& dg = net.datagrams();
+  ASSERT_GT(dg.unreliable_sent(), 0u);
+  EXPECT_EQ(dg.datagrams_sent(), 0u);
+  EXPECT_EQ(dg.payload_bytes_sent(), dg.unreliable_sent() * kGossipHeaderBytes);
+}
+
+TEST(LoadExchangeHosts, TwoHostsWithOneNameAreRejected) {
+  // Entries travel by host id and are looked up by name, so a name must
+  // stand for one host.
+  sim::Engine e;
+  net::Network n(e);
+  os::Host a(e, n, os::HostConfig("twin", "HPPA", 1.0));
+  os::Host b(e, n, os::HostConfig("twin", "HPPA", 1.0));
+  pvm::PvmSystem v(e, n);
+  v.add_host(a);
+  v.add_host(b);
+  try {
+    LoadExchange x(v);
+    FAIL() << "an exchange over two hosts named \"twin\" was built";
+  } catch (const ContractError& err) {
+    EXPECT_NE(std::string(err.what()).find("unique_host_name"),
+              std::string::npos)
+        << err.what();
+  }
+}
+
+TEST_F(WorknetFixture, ExchangeLeavesNoHostObserverBehind) {
+  {
+    LoadExchange x(vm);
+    x.start(3.0);
+    eng.run_until(3.0);
+  }
+  // A crash now would call into the destroyed exchange had it left its
+  // observer on the host (the sanitizer build reports the use).
+  host2.crash();
+  host2.recover();
+  LoadExchange y(vm);
+  y.start(10.0);
+  eng.run_until(10.0);
+  EXPECT_NE(y.entry_at(host1, "host2"), nullptr);
+}
+
+TEST_F(WorknetFixture, OwnEntryIsAbsentFromTheMapUntilTheFirstRound) {
+  LoadExchange x(vm);
+  EXPECT_EQ(x.entry_at(host1, "host1"), nullptr);
+  x.start(5.0);
+  eng.run_until(5.0);
+  const LoadEntry* own = x.entry_at(host1, "host1");
+  ASSERT_NE(own, nullptr);
+  EXPECT_EQ(own->host, "host1");
+  EXPECT_EQ(x.entry_at(host1, "no-such-host"), nullptr);
 }
 
 TEST(GossipAdversary, DuplicatedGossipMergesExactlyOnce) {

@@ -242,6 +242,20 @@ TEST_F(HostFixture, FreezeStallsComputeAndUnfreezeResumesIt) {
   EXPECT_DOUBLE_EQ(done_at, 9.0);
 }
 
+TEST_F(HostFixture, RemovedObserverIsNotNotified) {
+  std::vector<HostEvent> kept;
+  std::vector<HostEvent> removed;
+  h1.add_observer([&](Host&, HostEvent ev) { kept.push_back(ev); });
+  const std::uint64_t id =
+      h1.add_observer([&](Host&, HostEvent ev) { removed.push_back(ev); });
+  h1.crash();
+  h1.remove_observer(id);
+  h1.recover();
+  EXPECT_EQ(kept, (std::vector<HostEvent>{HostEvent::kCrash,
+                                          HostEvent::kRecover}));
+  EXPECT_EQ(removed, std::vector<HostEvent>{HostEvent::kCrash});
+}
+
 TEST_F(HostFixture, CrashAndRecoverAreIdempotent) {
   h1.crash();
   h1.crash();  // no-op

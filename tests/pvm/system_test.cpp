@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/pvm_fixture.hpp"
 
 namespace cpe::pvm {
@@ -24,6 +26,32 @@ TEST_F(PvmSystemTest, SpawnPlacesRoundRobin) {
   EXPECT_EQ(tids[1].host_index(), 1u);
   EXPECT_EQ(tids[2].host_index(), 2u);
   EXPECT_EQ(tids[3].host_index(), 0u);
+}
+
+TEST_F(PvmSystemTest, RegistryHoldsEveryTaskInLogicalTidOrder) {
+  // Tids grow per daemon, so round-robin spawns across three hosts, and a
+  // later batch on the first host, land mid-registry, not at its end.
+  vm.register_program("idle", [](Task& t) -> sim::Co<void> {
+    co_await t.compute(1.0);
+  });
+  std::vector<Tid> spawned;
+  auto body = [&]() -> sim::Proc {
+    spawned = co_await vm.spawn("idle", 7);
+    for (const Tid t : co_await vm.spawn("idle", 2, "host1"))
+      spawned.push_back(t);
+  };
+  sim::spawn(eng, body());
+  run_all();
+  const std::vector<Task*>& all = vm.all_tasks();
+  ASSERT_EQ(all.size(), 9u);
+  for (std::size_t i = 1; i < all.size(); ++i)
+    EXPECT_LT(all[i - 1]->tid().raw(), all[i]->tid().raw()) << "at " << i;
+  std::vector<std::int32_t> want;
+  for (const Tid t : spawned) want.push_back(t.raw());
+  std::sort(want.begin(), want.end());
+  std::vector<std::int32_t> got;
+  for (const Task* t : all) got.push_back(t->tid().raw());
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(PvmSystemTest, SpawnOnNamedHost) {
