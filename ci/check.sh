@@ -31,6 +31,11 @@
 #                          # REV (a temporary worktree) and in the working
 #                          # tree, run every workload once at seeds 1 and
 #                          # 7919, and fail on any differing digest line
+#   ci/check.sh parity REV # output parity: build the benches and examples
+#                          # at REV (a temporary worktree) and in the
+#                          # working tree, run the 22 deterministic benches
+#                          # and every example, each in a fresh directory,
+#                          # and fail on any differing stdout or exit code
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -508,25 +513,31 @@ run_audit() {
   validate_trace build/BENCH_trace.json
 }
 
+# Check revision $2 out with `git worktree` into $rev_tmp/rev, a temporary
+# directory that is removed on exit; $1 names the mode in error messages.
+checkout_rev() {
+  local mode="$1" rev="$2" sha
+  if ! sha="$(git rev-parse --verify --quiet "$rev^{commit}")"; then
+    echo "check.sh $mode: unknown revision '$rev'" >&2
+    exit 2
+  fi
+  rev_tmp="$(mktemp -d)"
+  # shellcheck disable=SC2064  # expand $rev_tmp now
+  trap "git worktree remove --force '$rev_tmp/rev' >/dev/null 2>&1 || true;
+        rm -rf '$rev_tmp'" EXIT
+  git worktree add --detach --quiet "$rev_tmp/rev" "$sha"
+}
+
 # Digest parity against a revision: perfbench's digest hashes the GS
 # journal, the migration histories and the gossip counters, so a change
 # that must not alter one decision has to reproduce it on every workload.
-# `--seconds 0` runs each workload's fixed repetitions once.  REV is checked
-# out with `git worktree` into a temporary directory, and each side builds
-# into its own CARGO_TARGET_DIR there.
+# `--seconds 0` runs each workload's fixed repetitions once.  Each side
+# builds into its own CARGO_TARGET_DIR in the checkout's temporary
+# directory.
 run_digest() {
   local rev="$1"
-  local sha
-  if ! sha="$(git rev-parse --verify --quiet "$rev^{commit}")"; then
-    echo "check.sh digest: unknown revision '$rev'" >&2
-    exit 2
-  fi
-  local tmp
-  tmp="$(mktemp -d)"
-  # shellcheck disable=SC2064  # expand $tmp now: it is local
-  trap "git worktree remove --force '$tmp/rev' >/dev/null 2>&1 || true;
-        rm -rf '$tmp'" EXIT
-  git worktree add --detach --quiet "$tmp/rev" "$sha"
+  checkout_rev digest "$rev"
+  local tmp="$rev_tmp"
   if [[ ! -f "$tmp/rev/perfbench/run.py" ]]; then
     echo "check.sh digest: $rev has no perfbench/run.py" >&2
     exit 2
@@ -563,6 +574,60 @@ run_digest() {
     exit 1
   fi
   echo "digest parity with $rev: PASS"
+}
+
+# Output parity against a revision: every deterministic bench and example
+# must print what REV prints and exit as it does.  Both sides build the
+# bench and example targets (no tests), and each binary runs in a fresh
+# temporary working directory, so no run reads another's BENCH_*.json.  The
+# host-timed benches (bench_micro, bench_sim_throughput, bench_load_scale,
+# bench_service_tail) print wall-clock readings and are left out.
+run_parity() {
+  local rev="$1"
+  checkout_rev parity "$rev"
+  local tmp="$rev_tmp" side
+  for side in rev work; do
+    local src=.
+    [[ "$side" == rev ]] && src="$tmp/rev"
+    if ! { cmake -B "$tmp/build-$side" -S "$src" -DCPE_BUILD_TESTS=OFF &&
+           cmake --build "$tmp/build-$side" -j "$(nproc)"; } \
+         > "$tmp/$side-build.log" 2>&1; then
+      tail -n 40 "$tmp/$side-build.log" >&2
+      echo "check.sh parity: build failed at $side" >&2
+      exit 1
+    fi
+  done
+  local bins=() f
+  for f in bench/bench_table*.cpp bench/bench_fig*.cpp \
+           bench/bench_ablation_*.cpp bench/bench_adversarial_net.cpp \
+           bench/bench_fault_recovery.cpp bench/bench_gs_failover.cpp \
+           bench/bench_drain_host.cpp examples/*.cpp; do
+    bins+=("${f%.cpp}")
+  done
+  local bin run code diff=0
+  for bin in "${bins[@]}"; do
+    for side in rev work; do
+      run="$(mktemp -d "$tmp/run.XXXXXX")"
+      code=0
+      ( cd "$run" && "$tmp/build-$side/$bin" ) > "$tmp/$side.out" \
+        2> /dev/null || code=$?
+      echo "exit code $code" >> "$tmp/$side.out"
+      rm -rf "$run"
+    done
+    if cmp -s "$tmp/rev.out" "$tmp/work.out"; then
+      printf '  %-34s same\n' "${bin#*/}"
+    else
+      printf '  %-34s DIFFERS (< %s, > here):\n' "${bin#*/}" "$rev"
+      diff "$tmp/rev.out" "$tmp/work.out" | head -n 20 | sed 's/^/    /' \
+        || true
+      diff=1
+    fi
+  done
+  if [[ "$diff" != 0 ]]; then
+    echo "check.sh parity: output differs from $rev" >&2
+    exit 1
+  fi
+  echo "output parity with $rev: PASS (${#bins[@]} binaries)"
 }
 
 # The property sweeps (migration x fault, load placement, adversarial
@@ -678,6 +743,13 @@ case "$mode" in
     fi
     run_digest "$2"
     ;;
+  parity)
+    if [[ $# -lt 2 || -z "$2" ]]; then
+      echo "usage: $0 parity <rev>" >&2
+      exit 2
+    fi
+    run_parity "$2"
+    ;;
   all)
     run_suite build
     run_suite build-asan -DCPE_SANITIZE=address
@@ -687,7 +759,7 @@ case "$mode" in
     run_bench_slo
     ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all|digest <rev>]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all|digest <rev>|parity <rev>]" >&2
     exit 2
     ;;
 esac

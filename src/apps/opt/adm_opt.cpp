@@ -16,7 +16,7 @@ void pack_move(pvm::Buffer& b, const ExemplarSet& batch) {
 ExemplarSet unpack_move(pvm::Buffer& b) {
   std::vector<float> wire(b.next_count());
   b.upk_float(wire);
-  ExemplarSet batch = ExemplarSet::from_wire(wire);
+  ExemplarSet batch = ExemplarSet::from_wire(std::move(wire));
   std::vector<std::uint8_t> flags(b.next_count());
   b.upk_byte(std::as_writable_bytes(std::span(flags)));
   batch.load_flags(flags);
@@ -345,9 +345,7 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
   co_await t.recv(pvm::kAny, kTagData);
   std::vector<float> wire(t.rbuf().next_count());
   t.rbuf().upk_float(wire);
-  ExemplarSet mine = ExemplarSet::from_wire(wire);
-  wire.clear();
-  wire.shrink_to_fit();
+  ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
   t.process().image().data_bytes = mine.bytes();
   if (++slaves_ready_count_ >= cfg_.opt.nslaves) slaves_ready_.fire();
 

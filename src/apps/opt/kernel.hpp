@@ -64,7 +64,10 @@ class GradientKernel {
                     double overhead_factor) const {
     CPE_EXPECTS(grad.size() == Network::weight_count());
     std::size_t n = 0;
-    for (std::size_t i = 0; i < set.size() && n < max_items; ++i) {
+    // Everything before the first unprocessed exemplar is processed, so
+    // starting there visits what a scan from 0 would, in the same order.
+    for (std::size_t i = set.first_unprocessed();
+         i < set.size() && n < max_items; ++i) {
       if (set.processed(i)) continue;
       if (real_math_)
         net.accumulate_one(set.features(i), set.category(i), grad);

@@ -54,9 +54,7 @@ sim::Co<void> PvmOpt::master_main(pvm::Task& t) {
         data.size(), static_cast<std::size_t>(cfg_.nslaves));
     std::vector<ExemplarSet> slices = data.split(shares);
     for (int s = 0; s < cfg_.nslaves; ++s) {
-      const std::vector<float> wire =
-          slices[static_cast<std::size_t>(s)].to_wire();
-      t.initsend().pk_float(wire);
+      t.initsend().pk_float(slices[static_cast<std::size_t>(s)].to_wire());
       co_await t.send(slave_tids_[static_cast<std::size_t>(s)], kTagData);
     }
   }
@@ -96,9 +94,7 @@ sim::Co<void> PvmOpt::slave_main(pvm::Task& t) {
   co_await t.recv(pvm::kAny, kTagData);
   std::vector<float> wire(t.rbuf().next_count());
   t.rbuf().upk_float(wire);
-  ExemplarSet mine = ExemplarSet::from_wire(wire);
-  wire.clear();
-  wire.shrink_to_fit();
+  ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
   // The process image now holds the slice plus net + gradient buffers —
   // what an MPVM migration must move.
   t.process().image().data_bytes = mine.bytes();

@@ -77,9 +77,7 @@ sim::Co<void> SpmdOpt::slave_main(upvm::Ulp& u) {
   co_await u.recv(0, kTagData);
   std::vector<float> wire(u.rbuf().next_count());
   u.rbuf().upk_float(wire);
-  ExemplarSet mine = ExemplarSet::from_wire(wire);
-  wire.clear();
-  wire.shrink_to_fit();
+  ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
   u.set_data_bytes(mine.bytes());
   u.set_heap_bytes(2 * Network::bytes());
   if (++slaves_ready_count_ >= cfg_.nslaves) slaves_ready_.fire();

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <utility>
 
 #include "sim/assert.hpp"
 
@@ -84,6 +85,21 @@ class Rng {
     const double u2 = uniform();
     const double r = std::sqrt(-2.0 * std::log(u1));
     return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
+  }
+
+  /// Two independent standard normals via Marsaglia's polar method: no trig,
+  /// one log and one sqrt per pair.  A second sampler rather than a faster
+  /// normal(): existing streams (Opt's initial weights among them) must keep
+  /// their Box-Muller values.
+  std::pair<double, double> normal_pair() {
+    double u = 0, v = 0, s = 0;
+    do {
+      u = 2.0 * uniform() - 1.0;
+      v = 2.0 * uniform() - 1.0;
+      s = u * u + v * v;
+    } while (s >= 1.0 || s == 0.0);
+    const double f = std::sqrt(-2.0 * std::log(s) / s);
+    return {u * f, v * f};
   }
 
   /// True with probability p.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 namespace cpe::opt {
 namespace {
 
@@ -113,6 +116,69 @@ TEST(ExemplarSet, DeterministicPerSeed) {
             ExemplarSet::synthesize(30, b).checksum());
   EXPECT_NE(ExemplarSet::synthesize(30, a).checksum(),
             ExemplarSet::synthesize(30, c).checksum());
+}
+
+TEST(ExemplarSet, ClassClustersHaveTheirCentersAndSigma) {
+  sim::Rng rng(31);
+  const ExemplarSet s = ExemplarSet::synthesize(20'000, rng);
+  constexpr std::size_t kDim = kInputDim;
+  std::vector<double> sum(kClasses * kDim), sq(kClasses * kDim);
+  std::vector<std::size_t> count(kClasses);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<std::size_t>(s.category(i));
+    ++count[c];
+    for (std::size_t d = 0; d < kDim; ++d) {
+      const double x = s.features(i)[d];
+      sum[c * kDim + d] += x;
+      sq[c * kDim + d] += x * x;
+    }
+  }
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    const auto n = static_cast<double>(count[c]);
+    ASSERT_GT(n, 1000.0) << "class " << c;
+    // 5 sigma for the mean and the sample sd of n draws of N(center, 0.25).
+    const double mean_tol = 5.0 * 0.25 / std::sqrt(n);
+    const double sd_tol = 5.0 * 0.25 / std::sqrt(2.0 * n);
+    for (std::size_t d = 0; d < kDim; ++d) {
+      const double center =
+          static_cast<double>((c * 31 + d * 7) % 13) / 6.5 - 1.0;
+      const double mean = sum[c * kDim + d] / n;
+      const double sd = std::sqrt(sq[c * kDim + d] / n - mean * mean);
+      EXPECT_NEAR(mean, center, mean_tol) << "class " << c << " dim " << d;
+      EXPECT_NEAR(sd, 0.25, sd_tol) << "class " << c << " dim " << d;
+    }
+  }
+}
+
+TEST(ExemplarSet, SynthesizedContentIsPinned) {
+  // Nothing in virtual time reads exemplar values, so this pin is what
+  // makes a generator change deliberate.
+  sim::Rng rng(7);
+  EXPECT_EQ(ExemplarSet::synthesize(1000, rng).checksum(),
+            13338954681735153656ull);
+}
+
+TEST(ExemplarSet, StoredLayoutIsTheWireImage) {
+  sim::Rng rng(11);
+  const ExemplarSet s = ExemplarSet::synthesize(20, rng);
+  const std::span<const float> wire = s.to_wire();
+  ASSERT_EQ(wire.size(), s.size() * ExemplarSet::kStride);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    EXPECT_EQ(wire.data() + i * ExemplarSet::kStride, s.features(i).data());
+    EXPECT_EQ(wire[i * ExemplarSet::kStride + kInputDim],
+              static_cast<float>(s.category(i)));
+  }
+}
+
+TEST(ExemplarSet, FromWireAdoptsTheVector) {
+  sim::Rng rng(12);
+  const ExemplarSet s = ExemplarSet::synthesize(9, rng);
+  std::vector<float> wire(s.to_wire().begin(), s.to_wire().end());
+  const float* storage = wire.data();
+  const ExemplarSet back = ExemplarSet::from_wire(std::move(wire));
+  EXPECT_EQ(back.to_wire().data(), storage);
+  EXPECT_EQ(back.checksum(), s.checksum());
+  EXPECT_EQ(back.unprocessed_count(), 9u);
 }
 
 TEST(ExemplarSet, AppendAccumulates) {

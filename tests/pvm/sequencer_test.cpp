@@ -3,9 +3,14 @@
 // defenses exercised over a genuinely adversarial fabric.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <string_view>
 #include <vector>
 
 #include "pvm/system.hpp"
+#include "sim/random.hpp"
 #include "support/pvm_fixture.hpp"
 
 namespace cpe::pvm {
@@ -51,6 +56,120 @@ TEST(BufferCrc, CorruptBitOnEmptyBufferIsANoop) {
   const std::uint32_t before = a.crc32();
   a.corrupt_bit(99);
   EXPECT_EQ(a.crc32(), before);
+}
+
+// The bytewise frame CRC that slicing-by-16 replaced, kept as the reference
+// the fast kernel must equal: reflected 0xEDB88320, one lookup per byte.
+std::uint32_t reference_crc32_update(std::uint32_t crc, const void* data,
+                                     std::size_t n) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i)
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return crc;
+}
+
+// Buffer::crc32's framing of the wire image: per item, the 1-byte type tag
+// (Buffer::Tag order), the 8-byte host-order element count, then the
+// encoded payload.
+struct ReferenceFrame {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  void item(std::uint8_t tag, std::uint64_t count,
+            std::span<const unsigned char> payload) {
+    crc = reference_crc32_update(crc, &tag, sizeof tag);
+    crc = reference_crc32_update(crc, &count, sizeof count);
+    crc = reference_crc32_update(crc, payload.data(), payload.size());
+  }
+  [[nodiscard]] std::uint32_t value() const { return crc ^ 0xFFFFFFFFu; }
+};
+
+// Big-endian (XDR) word at p: what pk_int/pk_long put on the wire.
+template <class Word>
+Word read_be(const unsigned char* p) {
+  Word w = 0;
+  for (std::size_t i = 0; i < sizeof(Word); ++i)
+    w = static_cast<Word>(w << 8 | p[i]);
+  return w;
+}
+
+TEST(BufferCrc, EqualsTheBytewiseReferenceOverSeededBuffers) {
+  constexpr std::uint8_t kTagInt = 0, kTagLong = 2, kTagByte = 5, kTagStr = 6;
+  std::array<bool, 16> tail_seen{};
+  std::size_t most_blocks = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    sim::Rng rng(seed);
+    Buffer b;
+    ReferenceFrame ref;
+    const std::uint64_t items = 1 + rng.below(6);
+    for (std::uint64_t k = 0; k < items; ++k) {
+      std::vector<unsigned char> raw(rng.below(71));
+      for (unsigned char& c : raw)
+        c = static_cast<unsigned char>(rng.below(256));
+      switch (rng.below(4)) {
+        case 0: {  // int32: the payload is the first 4m raw bytes
+          std::vector<std::int32_t> v(raw.size() / 4);
+          for (std::size_t j = 0; j < v.size(); ++j)
+            v[j] = std::bit_cast<std::int32_t>(
+                read_be<std::uint32_t>(raw.data() + 4 * j));
+          raw.resize(4 * v.size());
+          b.pk_int(v);
+          ref.item(kTagInt, v.size(), raw);
+          break;
+        }
+        case 1: {  // int64: the first 8m raw bytes
+          std::vector<std::int64_t> v(raw.size() / 8);
+          for (std::size_t j = 0; j < v.size(); ++j)
+            v[j] = std::bit_cast<std::int64_t>(
+                read_be<std::uint64_t>(raw.data() + 8 * j));
+          raw.resize(8 * v.size());
+          b.pk_long(v);
+          ref.item(kTagLong, v.size(), raw);
+          break;
+        }
+        case 2:
+          b.pk_byte(std::as_bytes(std::span(raw)));
+          ref.item(kTagByte, raw.size(), raw);
+          break;
+        default:
+          b.pk_str(std::string_view(reinterpret_cast<const char*>(raw.data()),
+                                    raw.size()));
+          ref.item(kTagStr, raw.size(), raw);
+          break;
+      }
+      tail_seen[raw.size() % 16] = true;
+      most_blocks = std::max(most_blocks, raw.size() / 16);
+    }
+    ASSERT_EQ(b.crc32(), ref.value()) << "seed " << seed;
+  }
+  // The sweep reached every tail length after the 16-byte blocks, and
+  // payloads of several blocks.
+  for (std::size_t t = 0; t < tail_seen.size(); ++t)
+    EXPECT_TRUE(tail_seen[t]) << "no payload with tail " << t;
+  EXPECT_GE(most_blocks, 4u);
+}
+
+TEST(BufferCrc, PinnedValues) {
+  // Computed with the bytewise kernel on a little-endian host (the count
+  // word is hashed in host order).
+  Buffer digits;
+  const std::string_view s = "123456789";
+  digits.pk_byte(std::as_bytes(std::span(s.data(), s.size())));
+  EXPECT_EQ(digits.crc32(), 0xCFAA07FFu);
+
+  Buffer mixed;
+  mixed.pk_int(std::vector<std::int32_t>{-7, 0, 2147483647, 42});
+  mixed.pk_float(std::vector<float>{1.5f, -0.25f, 3.0e7f});
+  mixed.pk_str("checksummed frame");
+  EXPECT_EQ(mixed.crc32(), 0x06D934DAu);
 }
 
 // ---------------------------------------------------------------------------

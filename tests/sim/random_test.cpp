@@ -78,6 +78,55 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
 }
 
+TEST(Rng, NormalValuesArePinned) {
+  // Box-Muller draws feed Opt's initial network weights, and through them
+  // every net checksum and perfbench digest: they must not drift.
+  Rng r(2024);
+  EXPECT_EQ(r.normal(), 0.48134687406176407);
+  EXPECT_EQ(r.normal(), 1.2324336570310905);
+  EXPECT_EQ(r.normal(), 0.023078911007318733);
+}
+
+TEST(Rng, NormalPairIsDeterministicPerSeed) {
+  Rng a(5), b(5), c(6);
+  int same_as_other_seed = 0;
+  for (int i = 0; i < 100; ++i) {
+    const auto [a0, a1] = a.normal_pair();
+    const auto [b0, b1] = b.normal_pair();
+    const auto [c0, c1] = c.normal_pair();
+    EXPECT_EQ(a0, b0);
+    EXPECT_EQ(a1, b1);
+    if (a0 == c0) ++same_as_other_seed;
+  }
+  EXPECT_LT(same_as_other_seed, 2);
+}
+
+TEST(Rng, NormalPairMomentsAndIndependence) {
+  Rng r(17);
+  const int n = 1'000'000;
+  double s0 = 0, s1 = 0, q0 = 0, q1 = 0, cross = 0;
+  for (int i = 0; i < n; ++i) {
+    const auto [x, y] = r.normal_pair();
+    s0 += x;
+    s1 += y;
+    q0 += x * x;
+    q1 += y * y;
+    cross += x * y;
+  }
+  const double m0 = s0 / n, m1 = s1 / n;
+  const double v0 = q0 / n - m0 * m0, v1 = q1 / n - m1 * m1;
+  // 5 sigma: a sample mean of N(0,1) has sd 1/sqrt(n), a sample variance
+  // sd sqrt(2/n).
+  const double mean_tol = 5.0 / std::sqrt(double{n});
+  const double var_tol = 5.0 * std::sqrt(2.0 / n);
+  EXPECT_NEAR(m0, 0.0, mean_tol);
+  EXPECT_NEAR(m1, 0.0, mean_tol);
+  EXPECT_NEAR(v0, 1.0, var_tol);
+  EXPECT_NEAR(v1, 1.0, var_tol);
+  const double corr = (cross / n - m0 * m1) / std::sqrt(v0 * v1);
+  EXPECT_LT(std::abs(corr), 0.005);
+}
+
 TEST(Rng, ChanceExtremes) {
   Rng r(3);
   for (int i = 0; i < 100; ++i) {
