@@ -3,7 +3,10 @@
 // The paper's figure is a protocol diagram: migration event, message
 // flushing, VP state transfer to the skeleton, restart.  This bench runs one
 // real migration (a 4.2 MB PVM_opt slave) and prints the measured timeline
-// of exactly those stages, from the protocol's own trace.
+// of exactly those stages, then the protocol's own span tree.  It exits
+// nonzero unless the mpvm.migrate span and its four stage spans closed Ok,
+// each at the instant its MigrationStats timestamp records, and the trace
+// audit is clean.
 #include "bench/bench_util.hpp"
 
 int main() {
@@ -47,8 +50,22 @@ int main() {
       stats.restart_done - t0, stats.to_host.c_str(),
       stats.migration_time());
 
-  std::printf("\n  Protocol trace (category 'mpvm'):\n");
-  for (const auto& r : tb.vm.trace().by_category("mpvm"))
-    std::printf("    t=%9.6f  %s\n", r.t, r.text.c_str());
-  return 0;
+  std::printf("\n  Protocol spans ('mpvm.*'):\n");
+  const obs::SpanTracer& sp = tb.vm.spans();
+  bench::print_spans(sp, "mpvm.");
+
+  bool shape_ok = stats.ok;
+  shape_ok &= bench::span_closed_at(sp, "mpvm.migrate", stats.restart_done);
+  shape_ok &= bench::span_closed_at(sp, "mpvm.freeze", stats.frozen_time);
+  shape_ok &= bench::span_closed_at(sp, "mpvm.flush", stats.flush_done);
+  shape_ok &= bench::span_closed_at(sp, "mpvm.transfer", stats.transfer_done);
+  shape_ok &= bench::span_closed_at(sp, "mpvm.restart", stats.restart_done);
+  std::printf(
+      "\n  Shape check (migrate + four stage spans closed Ok at their stats "
+      "instants): %s\n",
+      shape_ok ? "PASS" : "FAIL");
+  std::vector<obs::SpanRecord> spans;
+  bench::collect_spans(tb.vm, spans);
+  const bool audit_ok = bench::audit_spans(spans);
+  return audit_ok && shape_ok ? 0 : 1;
 }

@@ -4,7 +4,8 @@
 // processes, one per host; if ULP4 occupies region V1 on host3, V1 is
 // reserved for ULP4 in every process.  This bench builds exactly that
 // configuration, prints the map, migrates ULP4, and shows it landing in the
-// same region — no pointer fix-up needed.
+// same region — no pointer fix-up needed.  It exits nonzero unless ULP4 kept
+// its region, the regions stayed disjoint, and the trace audit is clean.
 #include "bench/bench_util.hpp"
 
 int main() {
@@ -46,15 +47,19 @@ int main() {
   std::printf("After migrating ULP4 (%s -> host3):\n%s\n", "host2",
               upvm.format_address_map().c_str());
   const upvm::VaRegion after = upvm.ulp(4)->region();
+  const bool kept = before.base == after.base;
+  const bool disjoint = upvm.address_map().disjoint();
   std::printf(
       "  ULP4 region before: [%#zx, %#zx)  after: [%#zx, %#zx)  — %s\n",
       static_cast<std::size_t>(before.base),
       static_cast<std::size_t>(before.end()),
       static_cast<std::size_t>(after.base),
       static_cast<std::size_t>(after.end()),
-      before.base == after.base ? "identical (no pointer fix-up)"
-                                : "DIFFERENT (bug!)");
+      kept ? "identical (no pointer fix-up)" : "DIFFERENT (bug!)");
   std::printf("  Regions pairwise disjoint: %s\n",
-              upvm.address_map().disjoint() ? "yes" : "NO (bug!)");
-  return 0;
+              disjoint ? "yes" : "NO (bug!)");
+  std::vector<obs::SpanRecord> spans;
+  bench::collect_spans(vm, spans);
+  const bool audit_ok = bench::audit_spans(spans);
+  return audit_ok && kept && disjoint ? 0 : 1;
 }

@@ -4,7 +4,10 @@
 // timeline of the four stages the paper's figure shows: migration event +
 // context capture, flush (with immediate redirection of future messages),
 // state off-load via pvm_pkbyte/pvm_send, and accept/re-queue at the
-// destination.
+// destination — then the protocol's own span tree.  It exits nonzero unless
+// the upvm.migrate span and its four stage spans closed Ok, each at the
+// instant its UlpMigrationStats timestamp records, and the trace audit is
+// clean.
 #include "bench/bench_util.hpp"
 
 int main() {
@@ -53,8 +56,22 @@ int main() {
       "%s  <- migration cost %.3f s\n",
       stats.accept_done - t0, stats.to_host.c_str(), stats.migration_time());
 
-  std::printf("\n  Protocol trace (category 'upvm'):\n");
-  for (const auto& r : tb.vm.trace().by_category("upvm"))
-    std::printf("    t=%9.6f  %s\n", r.t, r.text.c_str());
-  return 0;
+  std::printf("\n  Protocol spans ('upvm.*'):\n");
+  const obs::SpanTracer& sp = tb.vm.spans();
+  bench::print_spans(sp, "upvm.");
+
+  bool shape_ok = stats.ok;
+  shape_ok &= bench::span_closed_at(sp, "upvm.migrate", stats.accept_done);
+  shape_ok &= bench::span_closed_at(sp, "upvm.capture", stats.captured_time);
+  shape_ok &= bench::span_closed_at(sp, "upvm.flush", stats.flush_done);
+  shape_ok &= bench::span_closed_at(sp, "upvm.offload", stats.offload_done);
+  shape_ok &= bench::span_closed_at(sp, "upvm.accept", stats.accept_done);
+  std::printf(
+      "\n  Shape check (migrate + four stage spans closed Ok at their stats "
+      "instants): %s\n",
+      shape_ok ? "PASS" : "FAIL");
+  std::vector<obs::SpanRecord> spans;
+  bench::collect_spans(tb.vm, spans);
+  const bool audit_ok = bench::audit_spans(spans);
+  return audit_ok && shape_ok ? 0 : 1;
 }

@@ -4,7 +4,9 @@
 // computing, redistribution, inactivity, completion.  This bench drives
 // ADMopt through the full cycle — withdraw (owner reclaims host1), rejoin
 // (owner leaves again), completion — and prints every state transition the
-// slaves actually made.
+// slaves actually made, from their `adm.fsm` spans.  It exits nonzero unless
+// the data is conserved, every slave's FSM path ends in `done`, and the
+// trace audit is clean.
 #include "bench/bench_util.hpp"
 
 int main() {
@@ -32,17 +34,33 @@ int main() {
   sim::spawn(tb.eng, gs());
   tb.eng.run();
 
-  std::printf("  FSM transitions (category 'adm.fsm'):\n");
-  for (const auto& r : tb.vm.trace().by_category("adm.fsm"))
-    std::printf("    t=%9.6f  %s\n", r.t, r.text.c_str());
+  std::printf("  FSM transitions ('adm.fsm' spans):\n");
+  bench::print_spans(tb.vm.spans(), "adm.fsm");
 
   std::printf("\n  Redistribution events:\n");
   for (const auto& s : app.redistributions())
     std::printf("    slave %d: %s, event->resume %.3f s\n", s.slave,
                 adm::to_string(s.kind), s.migration_time());
+  const bool conserved = app.final_data_checksum() == result.data_checksum;
+  std::printf("\n  Run completed: %d iterations, data conserved: %s\n",
+              result.iterations_done, conserved ? "yes" : "NO (bug!)");
+
+  // Each slave's last transition, by its `slave` attribute.
+  std::vector<std::string> last(static_cast<std::size_t>(cfg.opt.nslaves));
+  for (const obs::SpanRecord& s : tb.vm.spans().spans()) {
+    if (s.name != "adm.fsm") continue;
+    const std::size_t slave = std::stoul(*s.attr("slave"));
+    if (slave < last.size()) last[slave] = *s.attr("to");
+  }
+  bool all_done = true;
+  for (const std::string& state : last) all_done &= state == "done";
+  const bool shape_ok = conserved && all_done;
   std::printf(
-      "\n  Run completed: %d iterations, data conserved: %s\n",
-      result.iterations_done,
-      app.final_data_checksum() == result.data_checksum ? "yes" : "NO (bug!)");
-  return 0;
+      "  Shape check (data conserved; every slave's FSM path ends in done): "
+      "%s\n",
+      shape_ok ? "PASS" : "FAIL");
+  std::vector<obs::SpanRecord> spans;
+  bench::collect_spans(tb.vm, spans);
+  const bool audit_ok = bench::audit_spans(spans);
+  return audit_ok && shape_ok ? 0 : 1;
 }

@@ -10,7 +10,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
-
+#include <string_view>
 #include <vector>
 
 #include "apps/opt/adm_opt.hpp"
@@ -111,6 +111,36 @@ inline void write_trace_json(const std::vector<obs::SpanRecord>& spans,
   std::ofstream f(path, std::ios::trunc);
   obs::write_chrome_trace(spans, f);
   std::printf("  trace: wrote %s (%zu spans)\n", path.c_str(), spans.size());
+}
+
+/// Print every span whose name starts with `prefix`, in record order, one
+/// per line: "t=<start>..<end> <name> <status> k=v ...".  Figures 1, 3 and
+/// 4 print their protocol's spans this way.
+inline void print_spans(const obs::SpanTracer& spans, std::string_view prefix) {
+  for (const obs::SpanRecord& s : spans.spans()) {
+    if (s.name.rfind(prefix, 0) != 0) continue;
+    std::printf("    t=%.6f..%.6f %s %s", s.start, s.end, s.name.c_str(),
+                obs::to_string(s.status));
+    for (const auto& [k, v] : s.attrs)
+      std::printf(" %s=%s", k.c_str(), v.c_str());
+    std::printf("\n");
+  }
+}
+
+/// Figures 1 and 3: true when the first span called `name` closed Ok at
+/// `at`, the engine instant the protocol also stamped into its stats.
+/// Prints what it found otherwise.
+inline bool span_closed_at(const obs::SpanTracer& spans, std::string_view name,
+                           sim::Time at) {
+  const obs::SpanRecord* s = spans.find_named(name);
+  if (s != nullptr && s->status == obs::SpanStatus::kOk && s->end == at)
+    return true;
+  if (s == nullptr)
+    std::printf("  check: no %s span\n", std::string(name).c_str());
+  else
+    std::printf("  check: %s closed %s at t=%.9f, stats say t=%.9f\n",
+                s->name.c_str(), obs::to_string(s->status), s->end, at);
+  return false;
 }
 
 /// Run the trace auditor over collected spans; print any violations and

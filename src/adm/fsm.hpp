@@ -5,23 +5,32 @@
 // machine": well-defined states, explicit transitions, and careful reasoning
 // that no sequence of migration events can be mis-handled.  This class makes
 // the structure explicit and *checked*: undeclared transitions throw, and
-// every transition is traced so tests (and the Figure 4 bench) can assert on
+// every transition is recorded as an `adm.fsm` instant span (attributes
+// `slave`, `from`, `to`) so tests (and the Figure 4 bench) can assert on
 // exact state paths.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "sim/assert.hpp"
-#include "sim/trace.hpp"
 
 namespace cpe::adm {
 
 class Fsm {
  public:
-  /// `owner` names the process in trace output (e.g. "slave1").
-  Fsm(sim::TraceLog& trace, std::string owner, std::string initial)
-      : trace_(&trace), owner_(std::move(owner)), state_(std::move(initial)) {
+  /// Transitions are recorded on `host`'s timeline, on `track` (the slave
+  /// task's tid), and attributed to `slave`.
+  Fsm(obs::SpanTracer& spans, std::string host, std::int64_t track, int slave,
+      std::string initial)
+      : spans_(&spans),
+        host_(std::move(host)),
+        track_(track),
+        slave_(slave),
+        state_(std::move(initial)) {
     states_.push_back(state_);
   }
 
@@ -47,11 +56,15 @@ class Fsm {
 
   /// Move to `to`; throws on an undeclared edge — the "great care must be
   /// taken to ensure correctness" the paper warns about, made mechanical.
-  void transition(const std::string& to) {
+  /// The transition's span joins `ctx`'s trace (a fresh one when invalid).
+  void transition(const std::string& to, const obs::TraceContext& ctx = {}) {
     if (!can_transition(to))
-      throw Error("adm::Fsm(" + owner_ + "): illegal transition " + state_ +
-                  " -> " + to);
-    trace_->log("adm.fsm", owner_ + ": " + state_ + " -> " + to);
+      throw Error("adm::Fsm(slave " + std::to_string(slave_) +
+                  "): illegal transition " + state_ + " -> " + to);
+    const obs::SpanId ev = spans_->event(ctx, "adm.fsm", host_, track_);
+    spans_->annotate(ev, "slave", std::to_string(slave_));
+    spans_->annotate(ev, "from", state_);
+    spans_->annotate(ev, "to", to);
     state_ = to;
     path_.push_back(to);
   }
@@ -68,8 +81,10 @@ class Fsm {
     return false;
   }
 
-  sim::TraceLog* trace_;
-  std::string owner_;
+  obs::SpanTracer* spans_;
+  std::string host_;
+  std::int64_t track_;
+  int slave_;
   std::string state_;
   std::vector<std::string> states_;
   std::vector<std::pair<std::string, std::string>> edges_;

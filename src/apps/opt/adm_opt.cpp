@@ -64,9 +64,6 @@ bool AdmOpt::post_event(int slave, adm::AdmEventKind kind,
   // Fencing: drop a deposed leader's event instead of redistributing twice.
   if (fence_ && epoch && !fence_->admit(*epoch)) {
     vm_->metrics().counter("adm.fenced").inc();
-    vm_->trace().log("adm", "fenced slave=" + std::to_string(slave) +
-                                " epoch=" + std::to_string(*epoch) +
-                                " floor=" + std::to_string(fence_->floor()));
     const obs::SpanId fenced = sp.begin_span(ctx, "adm.event", "gs", slave);
     sp.annotate(fenced, "slave", std::to_string(slave));
     sp.annotate(fenced, "epoch", std::to_string(*epoch));
@@ -155,7 +152,6 @@ sim::Co<void> AdmOpt::redistribute(pvm::Task& master,
   counts.assign(target.begin(), target.end());
   sp.end_span(repart, obs::SpanStatus::kOk);
   master.clear_trace_context();
-  vm_->trace().log("adm", "redistribution complete");
 }
 
 sim::Co<void> AdmOpt::master_main(pvm::Task& t) {
@@ -206,10 +202,6 @@ sim::Co<void> AdmOpt::master_main(pvm::Task& t) {
       lost_items_ += counts[i];
       total_items -= std::min(total_items, counts[i]);
       counts[i] = 0;
-      vm_->trace().log("adm", "master: slave " + std::to_string(s) +
-                                  " lost in a crash (implicit withdraw, " +
-                                  std::to_string(lost_items_) +
-                                  " exemplars lost so far)");
       return true;
     }
     return false;
@@ -244,9 +236,6 @@ sim::Co<void> AdmOpt::master_main(pvm::Task& t) {
           active_[i] = false;
         else if (kind == adm::AdmEventKind::kRejoin)
           active_[i] = true;
-        vm_->trace().log("adm", std::string("master: ") +
-                                    adm::to_string(kind) + " slave " +
-                                    std::to_string(slave));
         co_await redistribute(t, counts, net);
       } else if (m.tag == kTagSlaveLost) {
         const pvm::Tid gone(t.rbuf().upk_int());
@@ -319,7 +308,8 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
   const double overhead = vm_->costs().adm.inner_loop_overhead;
 
   // Figure 4: the coarse-level FSM.
-  adm::Fsm fsm(vm_->trace(), "adm_slave" + std::to_string(me), "computing");
+  adm::Fsm fsm(vm_->spans(), t.pvmd().host().name(), t.tid().raw(), me,
+               "computing");
   fsm.add_state("redistributing");
   fsm.add_state("inactive");
   fsm.add_state("done");
@@ -421,7 +411,7 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
       epoch_processed = 0;
       mine.reset_processed();
     } else if (m.tag == kTagRepart) {
-      fsm.transition("redistributing");
+      fsm.transition("redistributing", t.trace_context());
       awaiting_repart = false;
       // Flush the open partial gradient: items this slave already
       // processed may be about to move away (their flags travel), and a
@@ -447,11 +437,9 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
       // Wait for the master's global all-finished message.
       co_await t.recv(pvm::kAny, kTagResume);
       // The resume message carried the repartition's trace context (adopted
-      // by the recv above): mark this slave rejoining the computation.
-      vm_->spans().annotate(
-          vm_->spans().event(t.trace_context(), "adm.rejoin",
-                             t.pvmd().host().name(), t.tid().raw()),
-          "slave", std::to_string(me));
+      // by the recv above): the slave rejoins the computation inside it.
+      fsm.transition(mine.empty() ? "inactive" : "computing",
+                     t.trace_context());
       // Trace boundary: post-rejoin gradient traffic is ordinary work and
       // must not keep riding (and paying for) the repartition's context.
       t.clear_trace_context();
@@ -465,7 +453,6 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
         history_.push_back(open_stats.front());
         open_stats.pop_front();
       }
-      fsm.transition(mine.empty() ? "inactive" : "computing");
     } else if (m.tag == kTagResume) {
       // A resume not paired with a Repart we processed (should not happen;
       // tolerated for robustness).
@@ -473,7 +460,7 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
       t.initsend().pk_long(static_cast<std::int64_t>(mine.checksum()));
       t.sbuf().pk_int(static_cast<std::int32_t>(mine.size()));
       co_await t.send(master_tid_, kTagFinalReport);
-      fsm.transition("done");
+      fsm.transition("done", t.trace_context());
       done = true;
     }
   }

@@ -89,8 +89,7 @@ void GsReplica::duty_tick() {
       // the tick grid while capping any single gap at one hb.
       if (now - last_broadcast_ >= 0.75 * hb) heartbeat();
       core_.tick();
-      if (!majority_lease_held())
-        step_down("lost contact with a majority of replicas");
+      if (!majority_lease_held()) step_down();
       break;
     case ReplicaRole::kFollower:
       if (now - last_heartbeat_ >= election_timeout_) start_election();
@@ -133,7 +132,6 @@ void GsReplica::start_election() {
   vote_granted_mask_ = 1ull << id_;
   election_started_ = engine().now();
   ha_->vm().metrics().counter("gs.elections").inc();
-  log("starts election term=" + std::to_string(term_));
   if (votes_ >= ha_->majority()) {  // single-replica deployment
     become_leader();
     return;
@@ -163,7 +161,6 @@ void GsReplica::become_leader() {
         .histogram("gs.election.latency")
         .record(now - election_started_);
   ha_->note_leader(id_, term_);
-  log("becomes leader term=" + std::to_string(term_));
   // Resume what the previous leader left open (replicated pending vacates,
   // liveness re-baseline), then announce.
   core_.resume_after_failover();
@@ -174,7 +171,6 @@ void GsReplica::become_leader() {
   // journal honest.)
   for (const os::OwnerEvent& ev : pending_events_) {
     if (ev.t < last_heartbeat_) continue;
-    log("replays owner event from t=" + std::to_string(ev.t));
     core_.on_owner_event(ev);
   }
   pending_events_.clear();
@@ -190,23 +186,20 @@ void GsReplica::on_owner_event(const os::OwnerEvent& ev) {
   // between leaders and we are the one who ends up winning the election.
   if (pending_events_.size() >= ha_->policy().pending_event_cap) {
     ++pending_evictions_;
-    log("pending-event buffer full: dropping oldest (" +
-        std::to_string(pending_evictions_) + " dropped total)");
     pending_events_.erase(pending_events_.begin());
   }
   pending_events_.push_back(ev);
 }
 
-void GsReplica::step_down(const std::string& why) {
-  log("steps down term=" + std::to_string(term_) + " (" + why + ")");
+void GsReplica::step_down() {
   role_ = ReplicaRole::kFollower;
   core_.set_active(false);
   last_heartbeat_ = engine().now();
 }
 
-void GsReplica::follow(std::uint64_t term, const std::string& why) {
+void GsReplica::follow(std::uint64_t term) {
   term_ = std::max(term_, term);
-  if (role_ == ReplicaRole::kLeader) step_down(why);
+  if (role_ == ReplicaRole::kLeader) step_down();
   role_ = ReplicaRole::kFollower;
 }
 
@@ -220,7 +213,7 @@ void GsReplica::on_message(const GsWireMessage& m) {
         post(m.from, message(GsWireMessage::Kind::kHeartbeatAck), false);
         return;
       }
-      follow(m.term, "saw a live leader with term " + std::to_string(m.term));
+      follow(m.term);
       last_heartbeat_ = now;
       core_.import_state(m.state);
       post(m.from, message(GsWireMessage::Kind::kHeartbeatAck), false);
@@ -228,7 +221,7 @@ void GsReplica::on_message(const GsWireMessage& m) {
     }
     case GsWireMessage::Kind::kHeartbeatAck: {
       if (m.term > term_) {
-        follow(m.term, "a peer reported a newer term");
+        follow(m.term);
         break;
       }
       if (role_ == ReplicaRole::kLeader && m.term == term_ && m.from >= 0 &&
@@ -245,7 +238,7 @@ void GsReplica::on_message(const GsWireMessage& m) {
       break;
     }
     case GsWireMessage::Kind::kVoteRequest: {
-      if (m.term > term_) follow(m.term, "vote request with newer term");
+      if (m.term > term_) follow(m.term);
       // One vote per term, and only for candidates whose replicated journal
       // is at least as complete as ours (raft-style up-to-date check).
       const bool grant = m.term == term_ && voted_in_term_ < term_ &&
@@ -276,9 +269,6 @@ void GsReplica::on_message(const GsWireMessage& m) {
 void GsReplica::on_host_event(os::HostEvent ev) {
   switch (ev) {
     case os::HostEvent::kCrash:
-      if (role_ == ReplicaRole::kLeader)
-        ha_->vm().trace().log("gs-ha", "leader replica " +
-                                           std::to_string(id_) + " crashed");
       // The crash silences us; the core goes inactive so its retry drivers
       // wind down instead of acting from beyond the grave.
       role_ = ReplicaRole::kFollower;
@@ -293,10 +283,6 @@ void GsReplica::on_host_event(os::HostEvent ev) {
     case os::HostEvent::kUnfreeze:
       break;  // the NIC stall already silences a frozen replica
   }
-}
-
-void GsReplica::log(const std::string& what) const {
-  ha_->vm().trace().log("gs-ha", "replica " + std::to_string(id_) + " " + what);
 }
 
 GsWireMessage GsReplica::message(GsWireMessage::Kind kind) const {

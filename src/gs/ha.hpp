@@ -70,9 +70,9 @@ struct HaPolicy {
   /// reverts to follower and waits out a fresh election timeout.
   double vote_timeout_beats = 1.0;
   /// A non-leader buffers up to this many owner events for replay if it
-  /// wins the next election; beyond the cap the oldest is evicted (logged,
-  /// and counted in GsReplica::pending_evictions) — each eviction is a
-  /// decision that can be missed across a failover.
+  /// wins the next election; beyond the cap the oldest is evicted and
+  /// counted in GsReplica::pending_evictions — each eviction is a decision
+  /// that can be missed across a failover.
   std::size_t pending_event_cap = 32;
   /// Seed for the per-replica jitter draw.
   std::uint64_t seed = 42;
@@ -146,11 +146,9 @@ class GsReplica {
   void on_host_event(os::HostEvent ev);
   void start_election();
   void become_leader();
-  void step_down(const std::string& why);
-  /// Catch up to `term` and follow, stepping down (for `why`) if leading.
-  void follow(std::uint64_t term, const std::string& why);
-  /// Trace `what` under the "gs-ha" category as "replica <id> <what>".
-  void log(const std::string& what) const;
+  void step_down();
+  /// Catch up to `term` and follow, stepping down if leading.
+  void follow(std::uint64_t term);
   /// A message from this replica at its current term and journal length.
   [[nodiscard]] GsWireMessage message(GsWireMessage::Kind kind) const;
   /// Broadcast a heartbeat carrying the durable state, and note when.

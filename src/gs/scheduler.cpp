@@ -11,7 +11,6 @@ void GlobalScheduler::note(std::string what, bool ok, DecisionReason reason,
   vm_->metrics()
       .counter(std::string("gs.decisions.reason.") + to_string(reason))
       .inc();
-  vm_->trace().log("gs", what + (ok ? "" : " (failed)"));
   journal_.emplace_back(vm_->engine().now(), std::move(what), ok, reason,
                         load);
   if (replication_hook_) replication_hook_();

@@ -54,18 +54,18 @@ sim::Co<void> Checkpointer::write_checkpoint(pvm::Task& t, Watch& w) {
     burst->scheduler->detach(burst);
 
   const std::size_t bytes = t.process().image().migratable_bytes();
-  std::string failure;
+  bool failed = false;
   try {
     auto stream = co_await net::TcpStream::connect(vm_->network(),
                                                    host.node(),
                                                    server_->node());
     co_await stream->send(host.node(), bytes);
-  } catch (const net::DeliveryError& e) {
+  } catch (const net::DeliveryError&) {
     // A crash mid-write: the partial checkpoint is discarded, the previous
     // one stays valid.  Try again next interval.
-    failure = e.what();
+    failed = true;
   }
-  if (failure.empty()) {
+  if (!failed) {
     // Server-side disk write, overlapping nothing (1994 checkpoint servers).
     co_await sim::Delay(eng, static_cast<double>(bytes) * 8.0 /
                                  options_.server_disk_bps);
@@ -76,9 +76,8 @@ sim::Co<void> Checkpointer::write_checkpoint(pvm::Task& t, Watch& w) {
   if (burst && !burst->done && burst->scheduler == nullptr &&
       t.process().active_burst == burst && t.pvmd().host().up())
     t.pvmd().host().cpu().adopt(burst);
-  if (!failure.empty()) {
-    vm_->trace().log("ckpt", "checkpoint of " + t.tid().str() +
-                                 " failed: " + failure);
+  if (failed) {
+    vm_->metrics().counter("ckpt.failed").inc();
     co_return;
   }
   w.burst_at_ckpt = burst;
@@ -86,9 +85,6 @@ sim::Co<void> Checkpointer::write_checkpoint(pvm::Task& t, Watch& w) {
   ++w.stats.checkpoints_taken;
   w.stats.total_checkpoint_time += eng.now() - start;
   w.stats.last_checkpoint_at = eng.now();
-  vm_->trace().log("ckpt", "checkpoint of " + t.tid().str() + " (" +
-                               std::to_string(bytes) + " bytes) in " +
-                               std::to_string(eng.now() - start) + " s");
 }
 
 sim::Co<CkptVacateStats> Checkpointer::vacate_restart(pvm::Tid task,
@@ -117,9 +113,6 @@ sim::Co<CkptVacateStats> Checkpointer::vacate_restart(pvm::Tid task,
   if (burst && burst->scheduler != nullptr)
     burst->scheduler->detach(burst);
   stats.killed_time = eng.now();
-  vm_->trace().log("ckpt", "killed " + task.str() + " on " + src.name() +
-                               " (obtrusiveness " +
-                               std::to_string(stats.obtrusiveness()) + " s)");
 
   // --- Restart on `dst` from the last checkpoint.  -------------------------
   // Fetch the image from the checkpoint server.
@@ -154,9 +147,6 @@ sim::Co<CkptVacateStats> Checkpointer::vacate_restart(pvm::Tid task,
   }
   if (burst && !burst->done) dst.cpu().adopt(burst);
   stats.restart_done = eng.now();
-  vm_->trace().log("ckpt", "restarted " + task.str() + " on " + dst.name() +
-                               " redoing " + std::to_string(stats.redo_work) +
-                               " s of work");
   history_.push_back(stats);
   co_return stats;
 }
@@ -169,9 +159,6 @@ sim::Co<CkptVacateStats> Checkpointer::recover(
   // Fencing: a recovery ordered by a deposed leader is refused before any
   // state is touched, exactly like a stale migrate (mpvm.cpp).
   if (fence_ && epoch && !fence_->admit(*epoch)) {
-    vm_->trace().log("ckpt", "fenced recover of " + task.str() + " epoch=" +
-                                 std::to_string(*epoch) + " floor=" +
-                                 std::to_string(fence_->floor()));
     const obs::SpanId fenced =
         sp.begin_span(ctx, "ckpt.recover", dst.name(), task.raw());
     sp.annotate(fenced, "task", task.str());
@@ -277,10 +264,6 @@ sim::Co<CkptVacateStats> Checkpointer::recover(
       .histogram("ckpt.recovery.time")
       .record(stats.restart_done - stats.event_time);
   vm_->metrics().histogram("ckpt.recovery.redo_work").record(stats.redo_work);
-  vm_->trace().log("ckpt", "recovered " + task.str() + " from crash of " +
-                               src.name() + " onto " + dst.name() +
-                               " redoing " + std::to_string(stats.redo_work) +
-                               " s of work");
   history_.push_back(stats);
   co_return stats;
 }

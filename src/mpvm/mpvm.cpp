@@ -188,8 +188,6 @@ MigrationStats Mpvm::abort_migration(pvm::Task* t, pvm::Tid victim,
                                      const std::string& reason,
                                      obs::SpanId mig_span,
                                      obs::SpanId open_stage) {
-  vm_->trace().log("mpvm", "stage=aborted task=" + victim.str() +
-                               " reason=" + reason);
   obs::SpanTracer& sp = vm_->spans();
   if (open_stage != 0) sp.end_span(open_stage, obs::SpanStatus::kAborted);
   if (mig_span != 0) {
@@ -239,9 +237,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
   // before any protocol state is touched.
   if (fence_ && epoch && !fence_->admit(*epoch)) {
     vm_->metrics().counter("mpvm.fenced").inc();
-    vm_->trace().log("mpvm", "fenced task=" + victim.str() + " epoch=" +
-                                 std::to_string(*epoch) + " floor=" +
-                                 std::to_string(fence_->floor()));
     pvm::Task* ft = vm_->find_logical(victim);
     const std::string fenced_host =
         ft != nullptr ? ft->pvmd().host().name() : std::string("gs");
@@ -304,8 +299,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
   if (epoch) sp.annotate(mig, "epoch", std::to_string(*epoch));
   const obs::TraceContext mig_ctx = sp.context_of(mig);
   t->set_trace_context(mig_ctx);
-  vm_->trace().log("mpvm", "stage=event task=" + victim.str() + " " +
-                               src.name() + " -> " + dst.name());
   notify_stage(victim, MigrationStage::kEvent);
 
   obs::SpanId stage = 0;
@@ -367,11 +360,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
       sp.annotate(stage, "bytes", std::to_string(stats.precopy_bytes));
       sp.annotate(stage, "residue", std::to_string(precopy_residue));
       sp.end_span(stage, obs::SpanStatus::kOk);
-      vm_->trace().log("mpvm", "stage=precopy task=" + victim.str() +
-                                   " bytes=" +
-                                   std::to_string(stats.precopy_bytes) +
-                                   " residue=" +
-                                   std::to_string(precopy_residue));
     } else {
       // Fall back to stop-and-copy; the abort/crash checks of the regular
       // stages below decide whether the migration survives at all.
@@ -413,7 +401,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
   pf->frozen = true;
   sp.end_span(stage, obs::SpanStatus::kOk);
   stage = 0;
-  vm_->trace().log("mpvm", "stage=frozen task=" + victim.str());
   notify_stage(victim, MigrationStage::kFrozen);
   if (t->exited() || !src.up())
     co_return abort_migration(t, victim, {}, frozen_burst, src, stats,
@@ -464,9 +451,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
       // before charging the stage deadline for real.
       ++flush_retries_;
       vm_->metrics().counter("mpvm.flush.retries").inc();
-      vm_->trace().log("mpvm", "stage=flush-retry task=" + victim.str() +
-                                   " acks=" + std::to_string(pf->received()) +
-                                   "/" + std::to_string(pf->expected));
       const obs::SpanId rt = sp.event(sp.context_of(stage), "mpvm.flush.retry",
                                       src.name(), victim.raw());
       sp.annotate(rt, "acks", std::to_string(pf->received()) + "/" +
@@ -503,8 +487,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
   sp.annotate(stage, "acks", std::to_string(pf->expected));
   sp.end_span(stage, obs::SpanStatus::kOk);
   stage = 0;
-  vm_->trace().log("mpvm", "stage=flushed task=" + victim.str() + " acks=" +
-                               std::to_string(pf->expected));
   notify_stage(victim, MigrationStage::kFlushed);
   if (t->exited() || !src.up() || !dst.up())
     co_return abort_migration(t, victim, others, frozen_burst, src, stats,
@@ -524,8 +506,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
       co_return abort_migration(t, victim, others, frozen_burst, src, stats,
                                 "skeleton spawn failed on " + dst.name(), mig,
                                 stage);
-    vm_->trace().log("mpvm", "stage=skeleton task=" + victim.str() + " on " +
-                                 dst.name());
   }
   stats.state_bytes =
       t->process().image().migratable_bytes() + t->mailbox().total_bytes();
@@ -580,10 +560,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
     sp.annotate(stage, "residue", std::to_string(stats.residue_bytes));
   sp.end_span(stage, obs::SpanStatus::kOk);
   stage = 0;
-  vm_->trace().log(
-      "mpvm", "stage=transferred task=" + victim.str() + " bytes=" +
-                  std::to_string(stats.state_bytes) + " obtrusiveness=" +
-                  std::to_string(stats.obtrusiveness()));
   notify_stage(victim, MigrationStage::kTransferred);
   // The state reached the skeleton, but the process has not moved yet: a
   // destination lost at this instant still rolls back cleanly.
@@ -609,8 +585,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
     stats.ok = false;
     stats.failure = "destination crashed during restart; task lost";
     vm_->metrics().counter("mpvm.migrations.failed").inc();
-    vm_->trace().log("mpvm", "stage=aborted task=" + victim.str() +
-                                 " reason=" + stats.failure);
     // No rollback is possible here (the source copy is gone): the span tree
     // closes aborted with lost=1, which the auditor accepts in lieu of a
     // rollback/recovery child.
@@ -655,9 +629,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
   sp.end_span(stage, obs::SpanStatus::kOk);
   sp.end_span(mig, obs::SpanStatus::kOk);
   t->clear_trace_context();
-  vm_->trace().log("mpvm", "stage=restarted task=" + victim.str() +
-                               " new_tid=" + fresh.str() + " migration_time=" +
-                               std::to_string(stats.migration_time()));
   {
     // The four-stage latency breakdown (Tables 1/2): one histogram per
     // protocol stage, recorded only for completed migrations so aborted

@@ -8,7 +8,6 @@
 
 #include "sim/assert.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace cpe::obs {
 
@@ -498,12 +497,6 @@ void Analytics::fire(RuleState& rs, double observed, sim::Time now) {
   violations_.push_back(v);
   violations_total_->inc();
   rs.fired->inc();
-  if (journal_ != nullptr) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf, "%s violated: observed %.9g (streak %d)",
-                  rs.rule.name.c_str(), observed, rs.streak);
-    journal_->log("slo", buf);
-  }
   for (auto& hook : hooks_)
     if (hook) hook(violations_.back());
 }

@@ -25,16 +25,16 @@
 //
 // Rules are evaluated once per closed window; a rule whose condition fails
 // for N consecutive windows (`for N`, default 1) fires a typed SloViolation
-// that is counted (`analytics.slo.violations` + one counter per rule),
-// journaled to an optional sim::TraceLog, and dispatched to hooks — the
-// FlightRecorder (flight.hpp) arms one to dump post-mortem state.
+// that is appended to violations(), counted (`analytics.slo.violations` +
+// one counter per rule), and dispatched to hooks — the FlightRecorder
+// (flight.hpp) arms one to dump post-mortem state.
 //
 // Allocation discipline: after the first window has been sampled for every
 // tracked series, the steady-state sampling path performs ZERO heap
 // allocations (rings and bucket scratch are preallocated; the sampler event
 // captures one pointer and rides the engine's inline slot pool).  Only a
-// *firing* violation allocates (record + journal + hook).  Enforced by a
-// counting-allocator test in tests/obs/analytics_test.cpp.
+// *firing* violation allocates (the violations() record and the hooks).
+// Enforced by a counting-allocator test in tests/obs/analytics_test.cpp.
 //
 // Like the rest of obs, the sampler reads engine time but scheduling is
 // explicit and bounded: start() arms a self-rescheduling tick, stop()
@@ -51,10 +51,6 @@
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
-
-namespace cpe::sim {
-class TraceLog;
-}  // namespace cpe::sim
 
 namespace cpe::obs {
 
@@ -220,9 +216,6 @@ class Analytics {
     return violations_;
   }
 
-  /// Journal target for one-line violation records (nullptr to disable).
-  void set_journal(sim::TraceLog* journal) noexcept { journal_ = journal; }
-
   /// Install a violation hook; returns an id for remove_violation_hook.
   std::size_t on_violation(std::function<void(const SloViolation&)> hook);
   void remove_violation_hook(std::size_t id) noexcept;
@@ -280,7 +273,6 @@ class Analytics {
   std::deque<RuleState> rules_;
   std::vector<SloViolation> violations_;
   std::vector<std::function<void(const SloViolation&)>> hooks_;
-  sim::TraceLog* journal_ = nullptr;
   Counter* violations_total_ = nullptr;  ///< "analytics.slo.violations"
   sim::Time last_sample_ = 0;
   std::uint64_t windows_ = 0;

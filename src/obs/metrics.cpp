@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace cpe::obs {
 
@@ -238,16 +237,6 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
-}
-
-void write_trace_jsonl(const sim::TraceLog& log, std::ostream& os) {
-  for (const auto& r : log.records()) {
-    os << "{\"t\":" << json_num(r.t) << ",\"cat\":\"" << json_escape(r.category)
-       << "\",\"text\":\"" << json_escape(r.text) << "\"}\n";
-  }
-  // Always emit the trailer: consumers must be able to tell "no drops"
-  // (dropped:0) from "trailer missing" (truncated/old-format file).
-  os << "{\"dropped\":" << log.dropped() << "}\n";
 }
 
 }  // namespace cpe::obs

@@ -30,7 +30,6 @@
 
 namespace cpe::sim {
 class Engine;
-class TraceLog;
 }  // namespace cpe::sim
 
 namespace cpe::obs {
@@ -247,11 +246,6 @@ class StageTimer {
   sim::Time start_;
   bool done_ = false;
 };
-
-/// Export a TraceLog as JSONL ({"t":..,"cat":..,"text":..} per record).
-/// Always ends with a {"dropped":N} trailer — N is 0 when nothing was
-/// dropped — so consumers can distinguish "no drops" from "trailer missing".
-void write_trace_jsonl(const sim::TraceLog& log, std::ostream& os);
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 [[nodiscard]] std::string json_escape(std::string_view s);

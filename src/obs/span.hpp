@@ -14,7 +14,10 @@
 //
 // Like the metrics layer, the tracer is engine-passive: it reads virtual
 // time but never schedules events, so tracing cannot perturb a run.  The
-// span store is a capped ring (same rationale as sim::TraceLog).
+// span store is a capped ring: long runs record millions of spans, and an
+// unbounded store would dominate memory.  When the cap is reached the oldest
+// spans are discarded and dropped() counts them, so an exporter reports the
+// truncation instead of silently losing history.
 //
 // Consumers: write_chrome_trace() emits Chrome trace-event JSON loadable in
 // Perfetto / chrome://tracing (one pid per host, one tid per task/ULP
@@ -141,7 +144,9 @@ class SpanTracer {
   [[nodiscard]] std::vector<const SpanRecord*> by_trace(TraceId trace) const;
   [[nodiscard]] std::size_t size() const noexcept { return spans_.size(); }
 
-  /// Ring capacity control (same floor semantics as sim::TraceLog).
+  /// Ring capacity control.  Shrinking below the current size drops the
+  /// oldest spans immediately (and counts them); requests below 2, including
+  /// 0, are clamped to 2.
   void set_capacity(std::size_t cap);
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }

@@ -63,11 +63,10 @@ sim::Co<void> Pvmd::pump() {
     try {
       co_await sys_->network().datagrams().send(net::Datagram(
           host_->node(), o.dst_node, kPvmdPort, wire, std::move(o.msg)));
-    } catch (const net::DeliveryError& e) {
+    } catch (const net::DeliveryError&) {
       // The peer (or this host) is unreachable: real pvmds drop the message
       // and keep serving.  Crash recovery is the schedulers' business.
-      sys_->trace().log("pvmd", host_->name() + ": dropping message: " +
-                                    std::string(e.what()));
+      sys_->metrics().counter("pvm.messages_dropped").inc();
     }
   }
 }
@@ -80,9 +79,6 @@ void Pvmd::receive_datagram(net::Datagram d) {
   // drop, surfacing exactly like a lost frame.
   if (m.crc != 0 && m.body && m.body->crc32() != m.crc) {
     sys_->crc_dropped_ctr_->inc();
-    sys_->trace().log("pvmd", host_->name() +
-                                  ": dropping corrupt frame from " +
-                                  m.src.str() + " (CRC mismatch)");
     return;
   }
   // Remote arrival: one pvmd->task local-socket hop remains.
@@ -118,14 +114,12 @@ void Pvmd::dispatch(Message m, int hops) {
   sys_->spans().on_receive(host_->name(), m.lamport);
   Task* t = sys_->find_logical(m.dst);
   if (t == nullptr || t->exited()) {
-    sys_->trace().log("pvmd", "dropping message for dead task " + m.dst.str());
+    sys_->metrics().counter("pvm.messages_dropped").inc();
     return;
   }
   if (&t->pvmd() != this) {
     // The task migrated while this message was queued/in flight: forward it
     // to where it lives now, like the old host's mpvmd does.
-    sys_->trace().log("pvmd", "forwarding message for " + m.dst.str() +
-                                  " to " + t->pvmd().host().name());
     if (m.tctx.valid()) {
       const obs::SpanId ev =
           sys_->spans().event(m.tctx, "pvm.forward", host_->name());
@@ -207,7 +201,6 @@ PvmSystem::PvmSystem(sim::Engine& eng, net::Network& net,
     : eng_(eng),
       net_(&net),
       costs_(costs),
-      trace_(eng),
       metrics_(&eng),
       spans_(eng),
       groups_(eng, costs.pvm.group_rtt),
@@ -286,7 +279,6 @@ Pvmd& PvmSystem::add_host(os::Host& host) {
   host.add_observer([this](os::Host& h, os::HostEvent ev) {
     if (ev == os::HostEvent::kCrash) handle_host_crash(h);
   });
-  trace_.log("pvm", "pvmd started on " + host.name());
   return *daemons_.back();
 }
 
@@ -300,12 +292,8 @@ void PvmSystem::handle_host_crash(os::Host& host) {
     if (t->process().alive()) {
       // Crash-recoverable: the process was spared (stranded); a recovery
       // driver will restart it from its checkpoint on another host.
-      trace_.log("pvm", "task " + t->tid().str() + " stranded by crash of " +
-                            host.name());
       continue;
     }
-    trace_.log("pvm", "task " + t->tid().str() + " (" + t->program() +
-                          ") lost in crash of " + host.name());
     t->pvmd().detach(*t);
     t->mark_exited();
     fire_exit_watches(*t, /*crashed=*/true);
@@ -361,8 +349,6 @@ sim::Co<Task*> PvmSystem::spawn_one(const std::string& program, Pvmd& pvmd,
   current_to_logical_[tid.raw()] = tid.raw();
   pvmd.attach(*t);
   ++live_tasks_;
-  trace_.log("pvm", "spawned " + program + " as " + tid.str() + " on " +
-                        pvmd.host().name());
   if (task_observer_) task_observer_(*t);
   proc.run(task_wrapper(this, t, programs_.at(program)));
   co_return t;
@@ -467,15 +453,12 @@ Tid PvmSystem::retid(Task& task, os::Host& new_host) {
   task.set_current_tid(fresh);
   task.set_pvmd(*nd);
   nd->attach(task);
-  trace_.log("pvm", "retid " + task.tid().str() + ": " + old.str() + " -> " +
-                        fresh.str() + " on " + new_host.name());
   return fresh;
 }
 
 bool PvmSystem::kill(Tid logical) {
   Task* t = find_logical(logical);
   if (t == nullptr || t->exited()) return false;
-  trace_.log("pvm", "pvm_kill " + logical.str());
   t->pvmd().detach(*t);
   t->mark_exited();
   // Abort the program via an event: kill(2) semantics, and safe even when a
@@ -533,7 +516,6 @@ void PvmSystem::on_task_exit(Task& t) {
   // suspend: on_task_exit runs inside that coroutine, and Process::kill
   // would otherwise destroy a still-running frame.
   eng_.schedule_in(0, [proc = &t.process()] { proc->kill(); });
-  trace_.log("pvm", "task " + t.tid().str() + " (" + t.program() + ") exited");
   CPE_ASSERT(live_tasks_ > 0);
   if (--live_tasks_ == 0) all_exited_.fire();
 }

@@ -18,7 +18,6 @@
 #include "os/host.hpp"
 #include "pvm/task.hpp"
 #include "sim/channel.hpp"
-#include "sim/trace.hpp"
 
 namespace cpe::pvm {
 
@@ -167,7 +166,6 @@ class PvmSystem {
   [[nodiscard]] const calib::CostModel& costs() const noexcept {
     return costs_;
   }
-  [[nodiscard]] sim::TraceLog& trace() noexcept { return trace_; }
   /// VM-wide metric store.  Every subsystem (MPVM/UPVM/ADM/GS) records its
   /// counters and stage histograms here; a pull collector snapshots the
   /// net:: transport totals at export time.  See DESIGN.md §9.
@@ -339,7 +337,6 @@ class PvmSystem {
   sim::Engine& eng_;
   net::Network* net_;
   calib::CostModel costs_;
-  sim::TraceLog trace_;
   obs::MetricsRegistry metrics_;
   obs::SpanTracer spans_;
   /// Cached hot-path counters (route() runs per message; no map lookups).

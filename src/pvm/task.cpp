@@ -355,9 +355,6 @@ void Task::accept(Message m) {
     // a straggler behind an expired gap.  Releasing it now would break
     // exactly-once in-order, so it is dropped either way.
     sys_->seq_duplicates_ctr_->inc();
-    sys_->trace().log("pvm", logical_.str() + ": dropping replayed seq " +
-                                 std::to_string(seq) + " from " +
-                                 m.src.str());
     return;
   }
   if (seq == w.next) {
@@ -381,22 +378,17 @@ void Task::accept(Message m) {
     // triggered by memory pressure instead of the clock.  The missing
     // frames, should they straggle in later, are dropped as replays.
     sys_->seq_window_evicted_ctr_->inc();
-    skip_gap(src_raw, "window cap");
+    skip_gap(src_raw);
     return;
   }
   if (w.gap_deadline == 0) arm_gap_timer(src_raw);
 }
 
-void Task::skip_gap(std::int32_t src_raw, const char* why) {
+void Task::skip_gap(std::int32_t src_raw) {
   auto it = inbox_.find(src_raw);
   if (it == inbox_.end() || it->second.pending.empty()) return;
   SeqWindow& w = it->second;
   sys_->seq_gaps_ctr_->inc();
-  sys_->trace().log("pvm", logical_.str() + ": seq gap " +
-                               std::to_string(w.next) + " -> " +
-                               std::to_string(w.pending.begin()->first) +
-                               " from " + Tid(src_raw).str() +
-                               " abandoned (" + why + ")");
   w.next = w.pending.begin()->first;
   w.gap_deadline = 0;
   drain_ready(src_raw);
@@ -450,7 +442,7 @@ void Task::on_gap_timeout(std::int32_t src_raw) {
   // The gap never filled: the missing frames were dropped for good by the
   // sending daemon (peer unreachable past the retry budget).  Skip ahead to
   // the oldest held frame rather than stalling this pair forever.
-  skip_gap(src_raw, "timeout");
+  skip_gap(src_raw);
 }
 
 void Task::direct_send(Message m) {
@@ -471,8 +463,7 @@ sim::Co<void> Task::direct_pump(Task* self, DirectLink* link,
     Message m = co_await link->queue.recv();
     Task* dst = sys.find_logical(dst_logical);
     if (dst == nullptr || dst->exited()) {
-      sys.trace().log("pvm", "direct route: dropping message for dead task " +
-                                 dst_logical.str());
+      sys.metrics().counter("pvm.messages_dropped").inc();
       continue;
     }
     const net::NodeId src_node = self->pvmd().host().node();
@@ -481,9 +472,7 @@ sim::Co<void> Task::direct_pump(Task* self, DirectLink* link,
     // direct route breaks on migration and the library reconnects.
     if (!link->stream || link->src_node != src_node ||
         link->dst_node != dst_node) {
-      if (link->stream)
-        sys.trace().log("pvm", "direct route to " + dst_logical.str() +
-                                   ": endpoint moved, reconnecting");
+      if (link->stream) sys.metrics().counter("pvm.direct.reconnects").inc();
       link->stream = co_await net::TcpStream::connect(sys.network(),
                                                       src_node, dst_node);
       link->src_node = src_node;
@@ -500,8 +489,6 @@ sim::Co<void> Task::direct_pump(Task* self, DirectLink* link,
     if (now == nullptr || now->exited()) continue;
     if (now->pvmd().host().node() != dst_node) {
       // Landed on the old host: forward through the daemons.
-      sys.trace().log("pvm", "direct route: forwarding for " +
-                                 dst_logical.str());
       sys.daemon_at(dst_node)->deliver_local(std::move(m), 1);
       continue;
     }

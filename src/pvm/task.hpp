@@ -259,7 +259,7 @@ class Task {
   void on_gap_timeout(std::int32_t src_raw);
   /// Give up on the gap in `src_raw`'s window now: advance `next` to the
   /// oldest held frame and drain (gap timeout and window-cap eviction).
-  void skip_gap(std::int32_t src_raw, const char* why);
+  void skip_gap(std::int32_t src_raw);
 
   PvmSystem* sys_;
   Pvmd* pvmd_;

@@ -243,8 +243,6 @@ sim::Co<void> Upvm::start() {
       (**accept)(*c);
     });
   }
-  vm_->trace().log("upvm", "started " + std::to_string(containers_.size()) +
-                               " container processes");
 }
 
 std::vector<Ulp*> Upvm::run_spmd(UlpMain main, int nulps) {
@@ -279,10 +277,6 @@ std::vector<Ulp*> Upvm::run_spmd(UlpMain main, int nulps) {
     };
     u->main_ = sim::launch(vm_->engine(), wrapper(this, u.get(), spmd_main_));
   }
-  vm_->trace().log("upvm", "SPMD launch: " + std::to_string(nulps) +
-                               " ULPs across " +
-                               std::to_string(containers_.size()) +
-                               " processes");
   return out;
 }
 
@@ -366,16 +360,11 @@ void Upvm::dispatch_transport(UlpProcess& at, const pvm::Message& m) {
   CPE_ASSERT(hdr != nullptr);
   Ulp* dst = ulp(hdr->dst_inst);
   if (dst == nullptr) {
-    vm_->trace().log("upvm", "dropping message for unknown ULP " +
-                                 std::to_string(hdr->dst_inst));
+    vm_->metrics().counter("upvm.messages_dropped").inc();
     return;
   }
   if (dst->container_ != &at) {
     // The ULP migrated while this message was in flight: forward it.
-    vm_->trace().log("upvm",
-                     "forwarding message for ULP " +
-                         std::to_string(hdr->dst_inst) + " to " +
-                         dst->container_->host().name());
     at.task().runtime_send_ex(dst->container_->task().tid(), kTagUlpMsg,
                               m.body, *hdr, m.extra_bytes);
     return;
@@ -395,9 +384,6 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
   // Fencing: refuse a deposed leader's command before touching the ULP.
   if (fence_ && epoch && !fence_->admit(*epoch)) {
     vm_->metrics().counter("upvm.fenced").inc();
-    vm_->trace().log("upvm", "fenced ulp=" + std::to_string(inst) +
-                                 " epoch=" + std::to_string(*epoch) +
-                                 " floor=" + std::to_string(fence_->floor()));
     Ulp* fu = ulp(inst);
     const std::string fenced_host =
         fu != nullptr ? fu->host().name() : std::string("gs");
@@ -448,8 +434,6 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
   if (epoch) sp.annotate(mig, "epoch", std::to_string(*epoch));
   const obs::TraceContext mig_ctx = sp.context_of(mig);
   src_c->task().set_trace_context(mig_ctx);
-  vm_->trace().log("upvm", "stage=event ulp=" + std::to_string(inst) + " " +
-                               stats.from_host + " -> " + stats.to_host);
 
   // ---- Stage 1: interrupt the process, capture the ULP context ------------
   obs::SpanId stage =
@@ -467,13 +451,10 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
   // Future messages go straight to the target host from here on (§2.2
   // stage 2 — in contrast to MPVM's sender blocking).
   u->container_ = dst_c;
-  vm_->trace().log("upvm", "stage=captured ulp=" + std::to_string(inst));
 
   // Abort: undo the capture — the ULP returns to its source container and
   // is runnable again, exactly as before the event.
   auto abort_move = [&](const std::string& reason) {
-    vm_->trace().log("upvm", "stage=aborted ulp=" + std::to_string(inst) +
-                                 " reason=" + reason);
     if (stage != 0) sp.end_span(stage, obs::SpanStatus::kAborted);
     const obs::SpanId rb =
         sp.event(mig_ctx, "upvm.rollback", stats.from_host, inst);
@@ -515,7 +496,6 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
   stats.flush_done = eng.now();
   sp.end_span(stage, obs::SpanStatus::kOk);
   stage = 0;
-  vm_->trace().log("upvm", "stage=flushed ulp=" + std::to_string(inst));
   if (!dst.up() || dst_c->task().exited())
     co_return abort_move("destination container on " + dst.name() +
                          " is gone");
@@ -576,10 +556,6 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
   sp.annotate(stage, "bytes", std::to_string(stats.state_bytes));
   sp.end_span(stage, obs::SpanStatus::kOk);
   stage = 0;
-  vm_->trace().log(
-      "upvm", "stage=offloaded ulp=" + std::to_string(inst) + " bytes=" +
-                  std::to_string(stats.state_bytes) + " obtrusiveness=" +
-                  std::to_string(stats.obtrusiveness()));
 
   // ---- Stage 4: accept + re-queue at the destination ----------------------
   stage = sp.begin_span(mig_ctx, "upvm.accept", stats.to_host, inst);
@@ -593,9 +569,6 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
   sp.end_span(stage, obs::SpanStatus::kOk);
   sp.end_span(mig, obs::SpanStatus::kOk);
   src_c->task().clear_trace_context();
-  vm_->trace().log("upvm", "stage=accepted ulp=" + std::to_string(inst) +
-                               " migration_time=" +
-                               std::to_string(stats.migration_time()));
   {
     auto& m = vm_->metrics();
     m.histogram("upvm.stage.capture")

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/span.hpp"
 #include "sim/engine.hpp"
 
 namespace cpe::adm {
@@ -9,11 +10,11 @@ namespace {
 
 struct FsmTest : ::testing::Test {
   sim::Engine eng;
-  sim::TraceLog trace{eng};
+  obs::SpanTracer spans{eng};
 
   Fsm make_opt_fsm() {
     // The Figure 4 structure: compute / redistribute / inactive / done.
-    Fsm f(trace, "slave0", "computing");
+    Fsm f(spans, "host1", 7, 0, "computing");
     f.add_state("redistributing");
     f.add_state("inactive");
     f.add_state("done");
@@ -63,8 +64,21 @@ TEST_F(FsmTest, CanTransitionQueries) {
 TEST_F(FsmTest, TransitionsAreTraced) {
   Fsm f = make_opt_fsm();
   f.transition("redistributing");
-  EXPECT_NE(trace.find("adm.fsm", "computing -> redistributing"), nullptr);
-  EXPECT_NE(trace.find("adm.fsm", "slave0"), nullptr);
+  ASSERT_EQ(spans.size(), 1u);
+  const obs::SpanRecord& s = spans.spans().front();
+  EXPECT_EQ(s.name, "adm.fsm");
+  EXPECT_TRUE(s.instant);
+  EXPECT_EQ(s.status, obs::SpanStatus::kOk);
+  EXPECT_EQ(s.host, "host1");
+  EXPECT_EQ(s.track, 7);
+  EXPECT_EQ(*s.attr("slave"), "0");
+  EXPECT_EQ(*s.attr("from"), "computing");
+  EXPECT_EQ(*s.attr("to"), "redistributing");
+
+  // A transition made inside a trace joins it.
+  const obs::TraceContext ctx = spans.start_trace();
+  f.transition("inactive", ctx);
+  EXPECT_EQ(spans.spans().back().trace_id, ctx.trace_id);
 }
 
 TEST_F(FsmTest, WithdrawRejoinCycle) {
@@ -77,7 +91,7 @@ TEST_F(FsmTest, WithdrawRejoinCycle) {
     f.transition("computing");
   }
   EXPECT_EQ(f.state(), "computing");
-  EXPECT_EQ(trace.count("adm.fsm"), 12u);
+  EXPECT_EQ(spans.size(), 12u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -224,6 +225,7 @@ struct GsRetryOutcome {
   std::string final_host;
   std::size_t migrations = 0;
   std::string migrated_to;
+  std::string spans_jsonl;  ///< the run's whole span stream
 };
 
 /// The ISSUE acceptance scenario: the GS vacates host1; the chosen
@@ -258,6 +260,9 @@ GsRetryOutcome run_gs_retry_scenario() {
   out.migrations = w.mpvm.history().size();
   if (!w.mpvm.history().empty())
     out.migrated_to = w.mpvm.history().front().to_host;
+  std::ostringstream spans;
+  obs::write_spans_jsonl(w.vm.spans(), spans);
+  out.spans_jsonl = spans.str();
   return out;
 }
 
@@ -319,6 +324,12 @@ TEST(GsRecovery, RetryScenarioReplaysIdentically) {
   EXPECT_EQ(a.journal, b.journal);  // same decisions, same order, same flags
   EXPECT_DOUBLE_EQ(a.finished, b.finished);
   EXPECT_EQ(a.final_host, b.final_host);
+  // The span stream replays byte for byte too: ids, times, Lamport stamps,
+  // statuses and attributes.
+  EXPECT_NE(a.spans_jsonl.find("\"name\":\"mpvm.migrate\""),
+            std::string::npos);
+  EXPECT_NE(a.spans_jsonl.find("\"name\":\"gs."), std::string::npos);
+  EXPECT_EQ(a.spans_jsonl, b.spans_jsonl);
 }
 
 TEST(GsRecovery, VacateWithNoLiveDestinationIsJournalledNotCrashed) {

@@ -392,24 +392,6 @@ TEST_F(MpvmTest, DoubleMigrationOfSameTaskRefused) {
   EXPECT_TRUE(threw);
 }
 
-TEST_F(MpvmTest, TraceRecordsAllFourStages) {
-  vm.register_program("worker", [&](Task& t) -> sim::Co<void> {
-    co_await t.compute(20.0);
-  });
-  auto driver = [&]() -> sim::Proc {
-    auto v = co_await vm.spawn("worker", 1, "host1");
-    co_await sim::Delay(eng, 1.0);
-    co_await mpvm.migrate(v[0], host2);
-  };
-  sim::spawn(eng, driver());
-  run_all();
-  for (const char* stage :
-       {"stage=event", "stage=frozen", "stage=flushed", "stage=skeleton",
-        "stage=transferred", "stage=restarted"}) {
-    EXPECT_NE(vm.trace().find("mpvm", stage), nullptr) << stage;
-  }
-}
-
 TEST_F(MpvmTest, ComputeProgressPausesDuringMigration) {
   // The frozen burst makes no progress while the protocol runs.
   vm.register_program("worker", [&](Task& t) -> sim::Co<void> {
@@ -472,7 +454,9 @@ TEST_F(MpvmTest, LostFlushAckIsRetriedOnceBeforeCharging) {
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->ok);  // the retry saved the migration
   EXPECT_EQ(mpvm.flush_retries(), 1u);
-  EXPECT_NE(vm.trace().find("mpvm", "stage=flush-retry"), nullptr);
+  const obs::SpanRecord* retry = vm.spans().find_named("mpvm.flush.retry");
+  ASSERT_NE(retry, nullptr);
+  EXPECT_EQ(*retry->attr("acks"), "0/1");
   EXPECT_TRUE(victim_done);
   EXPECT_EQ(victim_final, &host2);
   EXPECT_TRUE(peer_done);

@@ -11,7 +11,6 @@
 
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
-#include "sim/trace.hpp"
 
 namespace cpe::obs {
 namespace {
@@ -240,34 +239,6 @@ TEST(StageTimer, DestructorCommitsAndCancelDrops) {
   eng.run();
   EXPECT_EQ(h.count(), 1u);
   EXPECT_DOUBLE_EQ(h.sum(), 1.25);
-}
-
-TEST(TraceExport, EscapesAndReportsDrops) {
-  sim::Engine eng;
-  sim::TraceLog log(eng);
-  log.set_capacity(sim::TraceLog::kMinCapacity);
-  log.log("cat", "first (will be dropped)");
-  log.log("cat", "quote \" backslash \\ newline \n tab \t");
-  for (std::size_t i = 1; i < sim::TraceLog::kMinCapacity; ++i)
-    log.log("cat", "filler");
-  std::ostringstream os;
-  write_trace_jsonl(log, os);
-  const std::string out = os.str();
-  EXPECT_EQ(out.find("will be dropped"), std::string::npos);
-  EXPECT_NE(out.find("quote \\\" backslash \\\\ newline \\n tab \\t"),
-            std::string::npos);
-  EXPECT_NE(out.find("{\"dropped\":1}"), std::string::npos);
-}
-
-TEST(TraceExport, DroppedTrailerAlwaysPresent) {
-  sim::Engine eng;
-  sim::TraceLog log(eng);
-  log.log("cat", "only record");
-  std::ostringstream os;
-  write_trace_jsonl(log, os);
-  // No overflow, but the trailer still closes the file: consumers can tell
-  // "no drops" from "trailer missing".
-  EXPECT_NE(os.str().find("{\"dropped\":0}"), std::string::npos);
 }
 
 TEST(JsonEscape, ControlCharactersBecomeUnicodeEscapes) {

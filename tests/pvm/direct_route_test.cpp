@@ -120,7 +120,10 @@ TEST_F(DirectRouteTest, ReconnectsWhenReceiverMigrates) {
   std::vector<int> expect(12);
   for (int i = 0; i < 12; ++i) expect[static_cast<std::size_t>(i)] = i;
   EXPECT_EQ(got, expect);
-  EXPECT_NE(vm.trace().find("pvm", "reconnecting"), nullptr);
+  const obs::Counter* reconnects =
+      vm.metrics().find_counter("pvm.direct.reconnects");
+  ASSERT_NE(reconnects, nullptr);
+  EXPECT_EQ(reconnects->value(), 1u);
 }
 
 TEST_F(DirectRouteTest, SendToDeadTaskDropped) {
@@ -138,7 +141,10 @@ TEST_F(DirectRouteTest, SendToDeadTaskDropped) {
   };
   sim::spawn(eng, body());
   run_all();
-  EXPECT_NE(vm.trace().find("pvm", "direct route: dropping"), nullptr);
+  const obs::Counter* dropped =
+      vm.metrics().find_counter("pvm.messages_dropped");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), 1u);
 }
 
 TEST_F(DirectRouteTest, LocalSendsStillUseLocalPath) {

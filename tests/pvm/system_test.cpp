@@ -368,7 +368,10 @@ TEST_F(PvmSystemTest, MessageToExitedTaskIsDropped) {
   };
   sim::spawn(eng, body());
   run_all();
-  EXPECT_NE(vm.trace().find("pvmd", "dropping"), nullptr);
+  const obs::Counter* dropped =
+      vm.metrics().find_counter("pvm.messages_dropped");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_EQ(dropped->value(), 1u);
 }
 
 TEST_F(PvmSystemTest, SendWithoutInitsendThrows) {
