@@ -102,5 +102,5 @@ int main() {
       "obtrusively; lost work bounded by the interval; quiet overhead grows "
       "as the interval shrinks): %s\n",
       shapes ? "PASS" : "FAIL");
-  return 0;
+  return shapes ? 0 : 1;
 }

@@ -133,8 +133,9 @@ int main() {
               adm_equal);
   std::printf("  %-44s %8.1f s\n", "speed-weighted partition (2:2:1)",
               adm_weighted);
+  const bool ok = ulps < procs && adm_weighted < adm_equal;
   std::printf(
       "\n  Shape check (finer granularity -> better balance): %s\n",
-      (ulps < procs && adm_weighted < adm_equal) ? "PASS" : "FAIL");
-  return 0;
+      ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

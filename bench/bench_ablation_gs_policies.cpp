@@ -71,9 +71,10 @@ int main() {
   std::printf("  %-36s %8.1f s\n", "no scheduling", none);
   std::printf("  %-36s %8.1f s\n", "vacate on reclaim", reclaim);
   std::printf("  %-36s %8.1f s\n", "reclaim + load threshold", both);
+  const bool ok = reclaim < none && both <= reclaim * 1.05;
   std::printf(
       "\n  Shape check (adaptive policies beat none; load policy helps "
       "further or ties): %s\n",
-      (reclaim < none && both <= reclaim * 1.05) ? "PASS" : "FAIL");
-  return 0;
+      ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

@@ -49,7 +49,8 @@ int main() {
               without);
   std::printf("\n  hand-off saves %.3f s (%.1f%%) on this run\n",
               without - with, (without - with) / without * 100.0);
+  const bool ok = with < without;
   std::printf("  Shape check (hand-off strictly faster): %s\n",
-              with < without ? "PASS" : "FAIL");
-  return 0;
+              ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

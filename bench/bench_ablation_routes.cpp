@@ -82,11 +82,11 @@ int main() {
   std::printf(
       "  4 B round-trip: default %7.4f s   direct %7.4f s   (%.2fx)\n",
       rtt_default, rtt_direct, rtt_default / rtt_direct);
+  const bool ok =
+      bulk_transfer(true, 1'000'000) < bulk_transfer(false, 1'000'000) &&
+      rtt_direct < rtt_default;
   std::printf(
       "\n  Shape check (direct wins on bulk bandwidth and on latency): %s\n",
-      (bulk_transfer(true, 1'000'000) < bulk_transfer(false, 1'000'000) &&
-       rtt_direct < rtt_default)
-          ? "PASS"
-          : "FAIL");
-  return 0;
+      ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

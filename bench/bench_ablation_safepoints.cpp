@@ -66,5 +66,5 @@ int main() {
       "\n  Shape check (anytime responds in ms; safe-points wait out the "
       "segment): %s\n",
       ok ? "PASS" : "FAIL");
-  return 0;
+  return ok ? 0 : 1;
 }

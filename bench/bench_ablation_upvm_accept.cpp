@@ -53,10 +53,9 @@ int main() {
       "\n  The optimization removes %.2f s of migration latency; "
       "obtrusiveness is untouched (it is a source-side cost).\n",
       slow.migration_time() - fast.migration_time());
-  std::printf("  Shape check: %s\n",
-              (fast.migration_time() < slow.migration_time() - 3.0 &&
-               std::abs(fast.obtrusiveness() - slow.obtrusiveness()) < 0.1)
-                  ? "PASS"
-                  : "FAIL");
-  return 0;
+  const bool ok =
+      fast.migration_time() < slow.migration_time() - 3.0 &&
+      std::abs(fast.obtrusiveness() - slow.obtrusiveness()) < 0.1;
+  std::printf("  Shape check: %s\n", ok ? "PASS" : "FAIL");
+  return ok ? 0 : 1;
 }

@@ -16,8 +16,8 @@
 // once, in order, unscathed: a lost or garbled stream is a hard failure no
 // matter how fast it went.
 //
-// Results land in BENCH_adversarial.json (one entry per scenario with the
-// per-axis injection counters) for ci/check.sh bench to validate.
+// Results land in BENCH_adversarial.json: one row per scenario with the
+// per-axis injection counters, and every gate.
 #include "bench/bench_util.hpp"
 
 #include <string>
@@ -116,18 +116,17 @@ void print_row(const RunResult& r) {
               static_cast<unsigned long long>(r.retransmits));
 }
 
-void json_row(std::ofstream& f, const RunResult& r, bool last) {
-  f << "    {\"scenario\": \"" << r.scenario << "\""
-    << ", \"goodput_bps\": " << r.goodput_bps
-    << ", \"elapsed_s\": " << r.elapsed_s
-    << ", \"messages\": " << r.delivered
-    << ", \"garbled\": " << r.garbled
-    << ", \"duplicates_injected\": " << r.duplicates_injected
-    << ", \"reorders_injected\": " << r.reorders_injected
-    << ", \"corrupt_injected\": " << r.corrupt_injected
-    << ", \"corrupt_dropped\": " << r.corrupt_dropped
-    << ", \"retransmits\": " << r.retransmits << "}" << (last ? "" : ",")
-    << "\n";
+void report_row(bench::Report& rep, const RunResult& r) {
+  rep.row("runs", {{"scenario", r.scenario},
+                   {"goodput_bps", r.goodput_bps},
+                   {"elapsed_s", r.elapsed_s},
+                   {"messages", r.delivered},
+                   {"garbled", r.garbled},
+                   {"duplicates_injected", r.duplicates_injected},
+                   {"reorders_injected", r.reorders_injected},
+                   {"corrupt_injected", r.corrupt_injected},
+                   {"corrupt_dropped", r.corrupt_dropped},
+                   {"retransmits", r.retransmits}});
 }
 }  // namespace
 
@@ -156,50 +155,51 @@ int main() {
   const RunResult& clean = results.front();
   const RunResult& worst = results.back();
 
+  bench::Report rep("adversarial_net", "full");
+  rep.row("config", {{"seed", kSeed},
+                     {"horizon", kHorizon},
+                     {"pairs", kPairs},
+                     {"messages_per_pair", kMsgs},
+                     {"payload_bytes", kDoubles * sizeof(double)}});
   // Gate 1: correctness before speed — every scenario delivered every
-  // message exactly once and nothing garbled reached an application.
-  bool exact = true;
-  for (const RunResult& r : results)
-    exact = exact && r.delivered == kPairs * kMsgs && r.garbled == 0;
+  // message exactly once, nothing garbled reached an application, and every
+  // stream made progress.
+  for (const RunResult& r : results) {
+    report_row(rep, r);
+    rep.gate(r.scenario + ".messages", r.delivered, "==", kPairs * kMsgs);
+    rep.gate(r.scenario + ".garbled", r.garbled, "==", 0);
+    rep.gate(r.scenario + ".goodput_bps", r.goodput_bps, ">", 0);
+  }
 
-  // Gate 2: the adversary really fired in the adversarial runs.
-  const bool fired = results[1].corrupt_injected > 0 &&
-                     results[2].duplicates_injected > 0 &&
-                     worst.corrupt_injected > 0 &&
-                     worst.duplicates_injected > 0 &&
-                     worst.corrupt_dropped > 0;
+  // Gate 2: the adversary really fired in the adversarial runs, and only
+  // there.
+  const RunResult& corrupt = results[1];
+  const RunResult& duplicate = results[2];
+  rep.gate(clean.scenario + ".corrupt_injected", clean.corrupt_injected, "==",
+           0);
+  rep.gate(clean.scenario + ".duplicates_injected", clean.duplicates_injected,
+           "==", 0);
+  rep.gate(corrupt.scenario + ".corrupt_injected", corrupt.corrupt_injected,
+           ">", 0);
+  rep.gate(duplicate.scenario + ".duplicates_injected",
+           duplicate.duplicates_injected, ">", 0);
+  rep.gate(worst.scenario + ".corrupt_injected", worst.corrupt_injected, ">",
+           0);
+  rep.gate(worst.scenario + ".duplicates_injected", worst.duplicates_injected,
+           ">", 0);
+  rep.gate(worst.scenario + ".corrupt_dropped", worst.corrupt_dropped, ">", 0);
 
   // Gate 3: graceful degradation — 1% corruption + duplication keeps at
   // least 0.6x of the clean goodput.
   const double ratio =
       clean.goodput_bps > 0 ? worst.goodput_bps / clean.goodput_bps : 0;
   constexpr double kLimit = 0.6;
-  const bool graceful = ratio >= kLimit;
+  rep.gate("goodput_ratio", ratio, ">=", kLimit);
 
-  const bool shapes = exact && fired && graceful;
   std::printf(
       "\n  Shape check (all streams exactly-once and unscathed; injectors "
       "fired; goodput corrupt+dup/clean = %.3f >= %.2f): %s\n",
-      ratio, kLimit, shapes ? "PASS" : "FAIL");
-
-  {
-    std::ofstream f("BENCH_adversarial.json", std::ios::trunc);
-    f << "{\n"
-      << "  \"bench\": \"adversarial_net\",\n"
-      << "  \"seed\": " << kSeed << ",\n"
-      << "  \"horizon\": " << kHorizon << ",\n"
-      << "  \"pairs\": " << kPairs << ",\n"
-      << "  \"messages_per_pair\": " << kMsgs << ",\n"
-      << "  \"payload_bytes\": " << kDoubles * sizeof(double) << ",\n"
-      << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i)
-      json_row(f, results[i], i + 1 == results.size());
-    f << "  ],\n"
-      << "  \"gates\": {\"goodput_ratio\": " << ratio
-      << ", \"goodput_limit\": " << kLimit
-      << ", \"pass\": " << (shapes ? "true" : "false") << "}\n"
-      << "}\n";
-    std::printf("  results: wrote BENCH_adversarial.json\n");
-  }
-  return shapes ? 0 : 1;
+      ratio, kLimit, rep.pass() ? "PASS" : "FAIL");
+  rep.write("BENCH_adversarial.json");
+  return rep.pass() ? 0 : 1;
 }

@@ -18,19 +18,19 @@
 //
 // One run per k in {1, 2, 4, 8} with stop-and-copy, plus one k=4 run with
 // pre-copy enabled for the freeze-window comparison.  Everything lands in
-// BENCH_drain.json (evacuation-time-vs-k, freeze-window histograms) and the
-// merged span trace is replayed through the TraceAuditor.
+// BENCH_drain.json (evacuation-time-vs-k, freeze-window percentiles, the
+// stage table, every gate) and the merged span trace is replayed through
+// the TraceAuditor.
 //
 // On top of the original two gates, the analytics layer (DESIGN.md §14)
 // adds three more: the pre-copy freeze-window p99 (fine-geometry
 // histograms) must shrink alongside the median, the per-migration
 // critical-path attribution must cover >= 95% of every migration's wall
 // span, and an SLO rule armed on the in-flight gauge proves the admission
-// cap held throughout.  The stage table lands in BENCH_analytics.json.
+// cap held throughout.
 #include "bench/bench_util.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "gs/scheduler.hpp"
@@ -155,23 +155,27 @@ void print_row(const RunResult& r) {
               static_cast<unsigned long long>(r.admission_waits));
 }
 
-void json_row(std::ofstream& f, const RunResult& r, bool last) {
-  f << "    {\"k\": " << r.k << ", \"precopy\": "
-    << (r.precopy ? "true" : "false")
-    << ", \"evacuation_s\": " << r.evacuation
-    << ", \"migrated\": " << r.migrated
-    << ", \"freeze_p50_ms\": " << percentile(r.freeze, 0.5) * 1e3
-    << ", \"freeze_p90_ms\": " << percentile(r.freeze, 0.9) * 1e3
-    << ", \"freeze_max_ms\": "
-    << (r.freeze.empty()
-            ? 0.0
-            : *std::max_element(r.freeze.begin(), r.freeze.end()) * 1e3)
-    << ", \"freeze_p99_ms\": " << r.freeze_p99 * 1e3
-    << ", \"precopy_bytes\": " << r.precopy_bytes
-    << ", \"residue_bytes\": " << r.residue_bytes
-    << ", \"admission_waits\": " << r.admission_waits
-    << ", \"slo_violations\": " << r.slo_violations << "}"
-    << (last ? "" : ",") << "\n";
+std::string run_name(const RunResult& r) {
+  return "k" + std::to_string(r.k) + (r.precopy ? "_precopy" : "");
+}
+
+void report_row(bench::Report& rep, const RunResult& r) {
+  rep.row("runs",
+          {{"k", r.k},
+           {"precopy", r.precopy},
+           {"evacuation_s", r.evacuation},
+           {"migrated", r.migrated},
+           {"freeze_p50_ms", percentile(r.freeze, 0.5) * 1e3},
+           {"freeze_p90_ms", percentile(r.freeze, 0.9) * 1e3},
+           {"freeze_max_ms",
+            r.freeze.empty()
+                ? 0.0
+                : *std::max_element(r.freeze.begin(), r.freeze.end()) * 1e3},
+           {"freeze_p99_ms", r.freeze_p99 * 1e3},
+           {"precopy_bytes", r.precopy_bytes},
+           {"residue_bytes", r.residue_bytes},
+           {"admission_waits", r.admission_waits},
+           {"slo_violations", r.slo_violations}});
 }
 }  // namespace
 
@@ -199,20 +203,28 @@ int main() {
   const RunResult& k4 = results[2];
   const RunResult& pre = results.back();
 
+  bench::Report rep("drain_host", "full");
+  rep.row("config", {{"tasks", kTasks},
+                     {"dests", kDests},
+                     {"image_bytes", kImageBytes}});
   // Gate 1: completeness — every drain moved all 32 tasks off the host.
-  bool complete = true;
-  for (const RunResult& r : results) complete = complete && r.migrated == kTasks;
+  for (const RunResult& r : results) {
+    report_row(rep, r);
+    rep.gate(run_name(r) + ".migrated", r.migrated, "==", kTasks);
+  }
 
   // Gate 2: k=4 evacuates in at most 0.45x the serial wall-clock.
   const double speedup_ratio =
       serial.evacuation > 0 ? k4.evacuation / serial.evacuation : 1.0;
-  const bool speedup_ok = speedup_ratio <= 0.45;
+  rep.gate("speedup_ratio", speedup_ratio, "<=", 0.45);
 
-  // Gate 3: pre-copy median freeze at most 0.25x the stop-and-copy median.
+  // Gate 3: pre-copy median freeze at most 0.25x the stop-and-copy median,
+  // and the pre-copy run really streamed image bytes before its freezes.
   const double p50_stop = percentile(k4.freeze, 0.5);
   const double p50_pre = percentile(pre.freeze, 0.5);
   const double freeze_ratio = p50_stop > 0 ? p50_pre / p50_stop : 1.0;
-  const bool freeze_ok = freeze_ratio <= 0.25;
+  rep.gate("freeze_ratio", freeze_ratio, "<=", 0.25);
+  rep.gate(run_name(pre) + ".precopy_bytes", pre.precopy_bytes, ">", 0);
 
   // Gate 4 (analytics): the TAIL must shrink too, not just the median — a
   // pre-copy that stalls one unlucky task for a full image copy would pass
@@ -221,72 +233,27 @@ int main() {
   // than ~1.2x; 0.50 leaves ~2x headroom over the measured ratio.
   const double freeze_p99_ratio =
       k4.freeze_p99 > 0 ? pre.freeze_p99 / k4.freeze_p99 : 1.0;
-  const bool freeze_p99_ok = freeze_p99_ratio <= 0.50;
+  rep.gate("freeze_p99_ratio", freeze_p99_ratio, "<=", 0.50);
 
   // Gate 5 (analytics): the armed inflight-cap SLO never fired.
   std::uint64_t slo_violations = 0;
   for (const RunResult& r : results) slo_violations += r.slo_violations;
-  const bool slo_ok = slo_violations == 0;
+  rep.gate("slo_violations", slo_violations, "==", 0);
 
-  const bool shapes =
-      complete && speedup_ok && freeze_ok && freeze_p99_ok && slo_ok;
   std::printf(
       "\n  Shape check (all drains complete; evac k=4/k=1 = %.3f <= 0.45; "
       "precopy/stop-copy median freeze = %.3f <= 0.25; p99 freeze = %.3f "
       "<= 0.50; inflight-cap SLO violations = %llu): %s\n",
       speedup_ratio, freeze_ratio, freeze_p99_ratio,
       static_cast<unsigned long long>(slo_violations),
-      shapes ? "PASS" : "FAIL");
-
-  {
-    std::ofstream f("BENCH_drain.json", std::ios::trunc);
-    f << "{\n"
-      << "  \"bench\": \"drain_host\",\n"
-      << "  \"tasks\": " << kTasks << ",\n"
-      << "  \"dests\": " << kDests << ",\n"
-      << "  \"image_bytes\": " << kImageBytes << ",\n"
-      << "  \"runs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i)
-      json_row(f, results[i], i + 1 == results.size());
-    f << "  ],\n"
-      << "  \"gates\": {\"speedup_ratio\": " << speedup_ratio
-      << ", \"speedup_limit\": 0.45"
-      << ", \"freeze_ratio\": " << freeze_ratio
-      << ", \"freeze_limit\": 0.25"
-      << ", \"freeze_p99_ratio\": " << freeze_p99_ratio
-      << ", \"freeze_p99_limit\": 0.50"
-      << ", \"pass\": " << (shapes ? "true" : "false") << "}\n"
-      << "}\n";
-    std::printf("  results: wrote BENCH_drain.json\n");
-  }
+      rep.pass() ? "PASS" : "FAIL");
 
   // Critical-path attribution over every migration in all five runs; the
   // coverage gate fails the bench if the stage spans ever stop accounting
   // for >= 95% of each migration's wall span.
-  obs::TraceAnalytics ta(spans);
-  const bool coverage_ok =
-      ta.migrations() > 0 && ta.coverage_min() >= 0.95;
-  std::printf(
-      "  analytics: %llu migrations, coverage min %.3f (>= 0.95: %s), "
-      "%llu traces skipped\n",
-      static_cast<unsigned long long>(ta.migrations()), ta.coverage_min(),
-      coverage_ok ? "PASS" : "FAIL",
-      static_cast<unsigned long long>(ta.traces_skipped()));
-  {
-    std::ofstream f("BENCH_analytics.json", std::ios::trunc);
-    std::ostringstream extra;
-    extra << "\"slo\": {\"rules\": " << results.size()
-          << ", \"violations\": " << slo_violations << ", \"flights\": 0},\n"
-          << "  \"gates\": {\"coverage_limit\": 0.95"
-          << ", \"freeze_p99_ratio\": " << freeze_p99_ratio
-          << ", \"freeze_p99_limit\": 0.50, \"pass\": "
-          << (coverage_ok && freeze_p99_ok && slo_ok ? "true" : "false")
-          << "}";
-    ta.write_json(f, "drain_host", extra.str());
-    std::printf("  analytics: wrote BENCH_analytics.json\n");
-  }
-
+  bench::report_analytics(rep, spans);
   bench::write_trace_json(spans, "BENCH_drain_trace.json");
-  const bool audit_ok = bench::audit_spans(spans);
-  return audit_ok && shapes && coverage_ok ? 0 : 1;
+  rep.gate("trace_audit_clean", bench::audit_spans(spans), "==", true);
+  rep.write("BENCH_drain.json");
+  return rep.pass() ? 0 : 1;
 }

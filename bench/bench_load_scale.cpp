@@ -17,29 +17,27 @@
 // the run), migrations performed, and the anti-thrash counters.  The shape
 // gate mirrors the acceptance criterion: every non-baseline policy must
 // reduce the steady-state CV against no balancing at all, with zero
-// hysteresis violations.  Everything lands in BENCH_load.json for CI.
+// hysteresis violations.  Rows, stage table and gates land in
+// BENCH_load.json.
 //
 // The analytics layer (DESIGN.md §14) adds the convergence view: each
 // balancing run tracks the GS's own `gs.load.cv` gauge as a windowed time
 // series, and "rebalance convergence" is the earliest window after which
 // the EWMA of that CV stays under the limit for the rest of the run.
 // Every balancing policy must converge; the per-stage critical-path table
-// over all migrations lands in BENCH_analytics.json with the coverage
-// gate.  `--slo` runs a small fleet with a deliberately-violated SLO rule
-// armed and asserts the flight recorder produces exactly one dump — the
-// CI `slo` mode consumes that.
+// over all migrations is gated on coverage.  `--slo` runs a small fleet
+// with a deliberately-violated SLO rule armed and asserts the flight
+// recorder produces exactly one dump — the CI `slo` mode consumes that.
 #include "bench/bench_util.hpp"
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "load/load.hpp"
 #include "obs/analytics.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace_analytics.hpp"
 
 namespace {
 using namespace cpe;
@@ -311,81 +309,40 @@ int main(int argc, char** argv) {
 
   // Acceptance gate: every balancing policy beats no balancing on
   // steady-state spread, and the hysteresis never tripped.
-  bool shapes = true;
-  bool converged = true;
+  bench::Report rep("load_scale", "full");
+  rep.row("config", {{"hosts", kHosts},
+                     {"tasks", kTasks},
+                     {"horizon", kHorizon},
+                     {"steady_from", kSteadyFrom}});
   for (std::size_t i = 0; i < results.size(); ++i) {
+    const RunResult& r = results[i];
+    const std::string policy = load::to_string(kinds[i]);
+    rep.row("policies", {{"policy", policy},
+                         {"cv", r.cv},
+                         {"migrations", r.migrations},
+                         {"thrash", r.thrash},
+                         {"residency_rejections", r.rejections},
+                         {"decisions", r.decisions},
+                         {"convergence_s", r.convergence}});
     if (kinds[i] == load::PolicyKind::kNone) continue;
-    shapes = shapes && results[i].cv < baseline_cv;
-    shapes = shapes && results[i].thrash == 0;
-    shapes = shapes && results[i].migrations > 0;
+    rep.gate(policy + ".cv", r.cv, "<", baseline_cv);
+    rep.gate(policy + ".thrash", r.thrash, "==", 0);
+    rep.gate(policy + ".migrations", r.migrations, ">", 0);
     // The EWMA of the GS's own balance view settled under the limit and
     // stayed there — rebalancing converged instead of oscillating.
-    converged = converged && results[i].convergence >= 0 &&
-                results[i].convergence <= kConvergeBy;
+    rep.gate(policy + ".converged", r.convergence, ">=", 0);
+    rep.gate(policy + ".convergence_s", r.convergence, "<=", kConvergeBy);
   }
-  shapes = shapes && converged;
   std::printf(
       "\n  Shape check (every policy reduces steady-state CV vs baseline "
       "%.4f, zero hysteresis violations, ewma(gs.load.cv) <= %.2f held from "
       "<= %.0f s): %s\n",
-      baseline_cv, kCvEwmaLimit, kConvergeBy, shapes ? "PASS" : "FAIL");
-
-  {
-    std::ofstream f("BENCH_load.json", std::ios::trunc);
-    f << "{\n"
-      << "  \"bench\": \"load_scale\",\n"
-      << "  \"hosts\": " << kHosts << ",\n"
-      << "  \"tasks\": " << kTasks << ",\n"
-      << "  \"horizon\": " << kHorizon << ",\n"
-      << "  \"steady_window\": [" << kSteadyFrom << ", " << kHorizon
-      << "],\n"
-      << "  \"policies\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const RunResult& r = results[i];
-      f << "    {\"policy\": \"" << load::to_string(kinds[i])
-        << "\", \"cv\": " << r.cv << ", \"migrations\": " << r.migrations
-        << ", \"thrash\": " << r.thrash
-        << ", \"residency_rejections\": " << r.rejections
-        << ", \"decisions\": " << r.decisions
-        << ", \"convergence_s\": " << r.convergence << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    f << "  ]\n}\n";
-    std::printf("  results: wrote BENCH_load.json\n");
-  }
+      baseline_cv, kCvEwmaLimit, kConvergeBy, rep.pass() ? "PASS" : "FAIL");
 
   // Stage attribution over every rebalance migration from all five runs.
-  obs::TraceAnalytics ta(spans);
-  const bool coverage_ok = ta.migrations() > 0 && ta.coverage_min() >= 0.95;
-  std::printf(
-      "  analytics: %llu migrations, coverage min %.3f (>= 0.95: %s), "
-      "%llu traces skipped\n",
-      static_cast<unsigned long long>(ta.migrations()), ta.coverage_min(),
-      coverage_ok ? "PASS" : "FAIL",
-      static_cast<unsigned long long>(ta.traces_skipped()));
-  {
-    std::ofstream f("BENCH_analytics.json", std::ios::trunc);
-    std::ostringstream extra;
-    extra << "\"slo\": {\"rules\": 0, \"violations\": 0, \"flights\": 0},\n"
-          << "  \"convergence\": [";
-    bool first = true;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (kinds[i] == load::PolicyKind::kNone) continue;
-      extra << (first ? "" : ", ") << "{\"policy\": \""
-            << load::to_string(kinds[i])
-            << "\", \"converged_s\": " << results[i].convergence << "}";
-      first = false;
-    }
-    extra << "],\n"
-          << "  \"gates\": {\"coverage_limit\": 0.95, \"cv_ewma_limit\": "
-          << kCvEwmaLimit << ", \"converge_by_s\": " << kConvergeBy
-          << ", \"pass\": "
-          << (coverage_ok && converged ? "true" : "false") << "}";
-    ta.write_json(f, "load_scale", extra.str());
-    std::printf("  analytics: wrote BENCH_analytics.json\n");
-  }
-
+  bench::report_analytics(rep, spans);
   bench::write_trace_json(spans, "BENCH_load_trace.json");
-  const bool audit_ok = bench::audit_spans(spans);
-  return audit_ok && shapes && coverage_ok ? 0 : 1;
+  rep.gate("trace_audit_clean", bench::audit_spans(spans), "==", true);
+  rep.write("BENCH_load.json");
+  return rep.pass() ? 0 : 1;
 }

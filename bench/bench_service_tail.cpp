@@ -27,17 +27,15 @@
 // `--smoke` shrinks the day run to half a virtual hour (the per-vday rate
 // gate still binds — it is rate-normalized).  `--slo` arms a deliberately-
 // impossible `p99(svc.latency)` rule with the flight recorder attached and
-// asserts exactly one flight dump lands (the svc SLO drill).  Everything
-// exports to BENCH_service.json + BENCH_analytics.json for ci/check.sh.
+// asserts exactly one flight dump lands (the svc SLO drill).  Rows, the
+// storm matrix's stage table and every gate land in BENCH_service.json.
 #include "bench/bench_util.hpp"
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/trace_analytics.hpp"
 #include "svc/scenario.hpp"
 
 namespace {
@@ -174,8 +172,24 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dr.timeouts),
               dr.audit_violations);
   if (dr.audit_violations != 0) std::printf("%s", dr.audit_report.c_str());
-  const bool day_ok = dr.requests_per_vday >= kVdayFloor && dr.exactly_once &&
-                      dr.audit_violations == 0;
+  bench::Report rep("service", smoke ? "smoke" : "full");
+  rep.row("day", {{"arrival", "diurnal"},
+                  {"rate_rps", day.rate},
+                  {"horizon", day.horizon},
+                  {"requests", dr.issued},
+                  {"requests_per_vday", dr.requests_per_vday},
+                  {"p50", dr.latency_p50},
+                  {"p95", dr.latency_p95},
+                  {"p99", dr.latency_p99},
+                  {"timeouts", dr.timeouts},
+                  {"exactly_once", dr.exactly_once},
+                  {"audit_violations", dr.audit_violations}});
+  bool day_ok = rep.gate("day.requests_per_vday", dr.requests_per_vday, ">=",
+                         kVdayFloor);
+  day_ok &= rep.gate("day.exactly_once", dr.exactly_once, "==", true);
+  day_ok &= rep.gate("day.audit_violations", dr.audit_violations, "==", 0);
+  day_ok &= rep.gate("day.p50_vs_p95", dr.latency_p50, "<=", dr.latency_p95);
+  day_ok &= rep.gate("day.p95_vs_p99", dr.latency_p95, "<=", dr.latency_p99);
 
   // ---- Part 2: the owner-reclamation storm matrix ------------------------
   struct MatrixRun {
@@ -200,9 +214,10 @@ int main(int argc, char** argv) {
   };
   bool matrix_ok = true;
   for (const auto& [kind, precopy] : kMatrix) {
+    const std::string tag =
+        std::string(load::to_string(kind)) + (precopy ? "_precopy" : "");
     svc::ScenarioRow row = storm_row();
-    row.name = std::string("storm_") + load::to_string(kind) +
-               (precopy ? "_precopy" : "");
+    row.name = "storm_" + tag;
     row.policy = kind;
     row.precopy = precopy;
     std::vector<obs::SpanRecord> run_spans;
@@ -215,18 +230,37 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.r.rejected),
                 m.r.migrations, m.r.mean_freeze);
     if (m.r.audit_violations != 0) std::printf("%s", m.r.audit_report.c_str());
-    matrix_ok = matrix_ok && m.r.exactly_once && m.r.audit_violations == 0 &&
-                m.r.thrash_violations == 0;
+    rep.row("storm", {{"policy", load::to_string(kind)},
+                      {"precopy", precopy},
+                      {"issued", m.r.issued},
+                      {"completed", m.r.completed},
+                      {"timeouts", m.r.timeouts},
+                      {"rejected", m.r.rejected},
+                      {"exactly_once", m.r.exactly_once},
+                      {"audit_violations", m.r.audit_violations},
+                      {"migrations", m.r.migrations},
+                      {"mean_freeze_s", m.r.mean_freeze},
+                      {"p50", m.r.latency_p50},
+                      {"p95", m.r.latency_p95},
+                      {"p99", m.r.latency_p99},
+                      {"queue_wait_p99", m.r.queue_wait_p99}});
+    matrix_ok &= rep.gate(tag + ".exactly_once", m.r.exactly_once, "==", true);
+    matrix_ok &=
+        rep.gate(tag + ".audit_violations", m.r.audit_violations, "==", 0);
+    matrix_ok &=
+        rep.gate(tag + ".thrash_violations", m.r.thrash_violations, "==", 0);
     // Every adaptive policy must actually act under the storm.
     if (kind != load::PolicyKind::kNone)
-      matrix_ok = matrix_ok && m.r.migrations > 0;
+      matrix_ok &= rep.gate(tag + ".migrations", m.r.migrations, ">", 0);
     runs.push_back(std::move(m));
   }
 
   // Gates: at least one adaptive policy beats `none` on p99, and pre-copy
   // does not inflate the tail that stop-and-copy pays in freeze windows.
-  double none_p99 = 0, stopcopy_p99 = 0, precopy_p99 = 0;
-  double stopcopy_freeze = 0, precopy_freeze = 0;
+  // NaN until the matrix row is seen: a gate on a missing row fails.
+  constexpr double kUnseen = std::numeric_limits<double>::quiet_NaN();
+  double none_p99 = kUnseen, stopcopy_p99 = kUnseen, precopy_p99 = kUnseen;
+  double stopcopy_freeze = kUnseen, precopy_freeze = kUnseen;
   double best_adaptive_p99 = std::numeric_limits<double>::infinity();
   std::string best_adaptive = "-";
   for (const MatrixRun& m : runs) {
@@ -242,10 +276,11 @@ int main(int argc, char** argv) {
       if (m.precopy) best_adaptive += "_precopy";
     }
   }
-  const bool tail_ok = best_adaptive_p99 < none_p99;
-  const bool precopy_ok =
-      precopy_p99 <= stopcopy_p99 && precopy_freeze < stopcopy_freeze;
-  const bool pass = day_ok && matrix_ok && tail_ok && precopy_ok;
+  const bool tail_ok =
+      rep.gate("best_adaptive_p99", best_adaptive_p99, "<", none_p99);
+  bool precopy_ok = rep.gate("precopy_p99", precopy_p99, "<=", stopcopy_p99);
+  precopy_ok &= rep.gate("precopy_mean_freeze_s", precopy_freeze, "<",
+                         stopcopy_freeze);
   std::printf(
       "\n  Shape check (>= %.0fM req/vday with clean audit: %s; best "
       "adaptive p99 %.3f s [%s] < none %.3f s: %s; precopy p99 %.3f <= "
@@ -255,75 +290,11 @@ int main(int argc, char** argv) {
       best_adaptive.c_str(), none_p99, tail_ok ? "ok" : "FAIL", precopy_p99,
       stopcopy_p99, precopy_freeze, stopcopy_freeze,
       precopy_ok ? "ok" : "FAIL", matrix_ok ? "ok" : "FAIL",
-      pass ? "PASS" : "FAIL");
-
-  {
-    std::ofstream f("BENCH_service.json", std::ios::trunc);
-    f << "{\n"
-      << "  \"bench\": \"service\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"day\": {\"arrival\": \"diurnal\", \"rate_rps\": " << day.rate
-      << ", \"horizon\": " << day.horizon
-      << ", \"requests\": " << dr.issued
-      << ", \"requests_per_vday\": " << dr.requests_per_vday
-      << ", \"p50\": " << dr.latency_p50 << ", \"p95\": " << dr.latency_p95
-      << ", \"p99\": " << dr.latency_p99
-      << ", \"timeouts\": " << dr.timeouts
-      << ", \"exactly_once\": " << (dr.exactly_once ? "true" : "false")
-      << ", \"audit_violations\": " << dr.audit_violations << "},\n"
-      << "  \"storm\": {\"rate_rps\": 300, \"horizon\": "
-      << storm_row().horizon << ", \"runs\": [\n";
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const MatrixRun& m = runs[i];
-      f << "    {\"policy\": \"" << load::to_string(m.policy)
-        << "\", \"precopy\": " << (m.precopy ? "true" : "false")
-        << ", \"issued\": " << m.r.issued
-        << ", \"completed\": " << m.r.completed
-        << ", \"timeouts\": " << m.r.timeouts
-        << ", \"rejected\": " << m.r.rejected
-        << ", \"exactly_once\": " << (m.r.exactly_once ? "true" : "false")
-        << ", \"audit_violations\": " << m.r.audit_violations
-        << ", \"migrations\": " << m.r.migrations
-        << ", \"mean_freeze_s\": " << m.r.mean_freeze
-        << ", \"p50\": " << m.r.latency_p50
-        << ", \"p95\": " << m.r.latency_p95
-        << ", \"p99\": " << m.r.latency_p99
-        << ", \"queue_wait_p99\": " << m.r.queue_wait_p99 << "}"
-        << (i + 1 < runs.size() ? "," : "") << "\n";
-    }
-    f << "  ]},\n"
-      << "  \"gates\": {\"vday_floor\": " << kVdayFloor
-      << ", \"requests_per_vday\": " << dr.requests_per_vday
-      << ", \"none_p99\": " << none_p99
-      << ", \"best_adaptive\": \"" << best_adaptive << "\""
-      << ", \"best_adaptive_p99\": " << best_adaptive_p99
-      << ", \"stopcopy_p99\": " << stopcopy_p99
-      << ", \"precopy_p99\": " << precopy_p99
-      << ", \"stopcopy_mean_freeze_s\": " << stopcopy_freeze
-      << ", \"precopy_mean_freeze_s\": " << precopy_freeze
-      << ", \"pass\": " << (pass ? "true" : "false") << "}\n"
-      << "}\n";
-    std::printf("  results: wrote BENCH_service.json\n");
-  }
+      rep.pass() ? "PASS" : "FAIL");
 
   // Stage attribution over every storm-matrix migration.
-  obs::TraceAnalytics ta(spans);
-  const bool coverage_ok = ta.migrations() > 0 && ta.coverage_min() >= 0.95;
-  std::printf("  analytics: %llu migrations, coverage min %.3f (>= 0.95: "
-              "%s), %llu traces skipped\n",
-              static_cast<unsigned long long>(ta.migrations()),
-              ta.coverage_min(), coverage_ok ? "PASS" : "FAIL",
-              static_cast<unsigned long long>(ta.traces_skipped()));
-  {
-    std::ofstream f("BENCH_analytics.json", std::ios::trunc);
-    std::ostringstream extra;
-    extra << "\"slo\": {\"rules\": 0, \"violations\": 0, \"flights\": 0},\n"
-          << "  \"gates\": {\"coverage_limit\": 0.95, \"pass\": "
-          << (coverage_ok && pass ? "true" : "false") << "}";
-    ta.write_json(f, "service_tail", extra.str());
-    std::printf("  analytics: wrote BENCH_analytics.json\n");
-  }
+  bench::report_analytics(rep, spans);
   bench::write_trace_json(spans, "BENCH_service_trace.json");
-
-  return pass && coverage_ok ? 0 : 1;
+  rep.write("BENCH_service.json");
+  return rep.pass() ? 0 : 1;
 }

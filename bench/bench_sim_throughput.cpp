@@ -33,19 +33,19 @@
 // --smoke mode runs ~1/8th the events with loose 1.5x floors so CI can
 // afford it per-commit: at that scale the legacy heap is half cache-resident
 // and a loaded CI box adds noise, so it exists to catch "the calendar queue
-// got slower than the heap", not to re-prove the 5x.  Everything lands in
-// BENCH_sim.json for ci/check.sh bench.
+// got slower than the heap", not to re-prove the 5x.  Rows and gates land
+// in BENCH_sim.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <queue>
 #include <string>
 #include <vector>
 
+#include "bench/report.hpp"
 #include "obs/analytics.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -382,11 +382,16 @@ int main(int argc, char** argv) {
     rows.push_back(r);
   }
 
-  bool pass = true;
+  cpe::bench::Report rep("sim_throughput", smoke ? "smoke" : "full");
   for (const Row& r : rows) {
-    pass = pass && r.speedup() >= r.limit;
     std::printf("  %-14s %14.0f %14.0f %8.2fx %6.1fx\n", r.name, r.base_eps,
                 r.cal_eps, r.speedup(), r.limit);
+    rep.row("workloads", {{"name", r.name},
+                          {"events", r.events},
+                          {"baseline_eps", r.base_eps},
+                          {"calendar_eps", r.cal_eps},
+                          {"speedup", r.speedup()}});
+    rep.gate(std::string(r.name) + ".speedup", r.speedup(), ">=", r.limit);
   }
 
   // Telemetry overhead: the hold workload with the metrics counter and the
@@ -399,10 +404,12 @@ int main(int argc, char** argv) {
       best_of([&] { return run_hold_metered(hold_pending, hold_events); });
   const double plain_eps = rows[0].cal_eps;
   const double overhead = 1.0 - metered_eps / plain_eps;
-  const bool overhead_ok = overhead <= overhead_limit;
-  pass = pass && overhead_ok;
   std::printf("  %-14s %14s %14.0f %7.2f%% %5.0f%%\n", "hold_metered", "-",
               metered_eps, overhead * 100.0, overhead_limit * 100.0);
+  rep.row("telemetry", {{"plain_eps", plain_eps},
+                        {"metered_eps", metered_eps},
+                        {"overhead", overhead}});
+  rep.gate("analytics_overhead", overhead, "<=", overhead_limit);
 
   // The headline ratio is timer_churn's: the acceptance bar for the rework.
   const Row& headline = rows.back();
@@ -410,35 +417,7 @@ int main(int argc, char** argv) {
       "\n  Gate (timer_churn %.2fx >= %.1fx, all floors held, analytics "
       "overhead %.2f%% <= %.0f%%): %s\n",
       headline.speedup(), headline.limit, overhead * 100.0,
-      overhead_limit * 100.0, pass ? "PASS" : "FAIL");
-
-  {
-    std::ofstream f("BENCH_sim.json", std::ios::trunc);
-    f << "{\n"
-      << "  \"bench\": \"sim_throughput\",\n"
-      << "  \"mode\": \"" << (smoke ? "smoke" : "full") << "\",\n"
-      << "  \"workloads\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      f << "    {\"name\": \"" << r.name << "\", \"events\": " << r.events
-        << ", \"baseline_eps\": " << r.base_eps
-        << ", \"calendar_eps\": " << r.cal_eps
-        << ", \"speedup\": " << r.speedup()
-        << ", \"limit\": " << r.limit << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    f << "  ],\n"
-      << "  \"analytics\": {\"plain_eps\": " << plain_eps
-      << ", \"metered_eps\": " << metered_eps
-      << ", \"overhead\": " << overhead
-      << ", \"overhead_limit\": " << overhead_limit << "},\n"
-      << "  \"gates\": {\"pass\": " << (pass ? "true" : "false")
-      << ", \"speedup_ratio\": " << headline.speedup()
-      << ", \"speedup_limit\": " << headline.limit
-      << ", \"analytics_overhead\": " << overhead
-      << ", \"analytics_overhead_limit\": " << overhead_limit << "}\n"
-      << "}\n";
-    std::printf("  results: wrote BENCH_sim.json\n");
-  }
-  return pass ? 0 : 1;
+      overhead_limit * 100.0, rep.pass() ? "PASS" : "FAIL");
+  rep.write("BENCH_sim.json");
+  return rep.pass() ? 0 : 1;
 }

@@ -7,12 +7,12 @@
 // to host2.  The raw-TCP column pushes the same number of bytes through a
 // bare stream connection — the lower bound on any migration mechanism.
 //
-// The six migrations also feed the critical-path analytics: per-stage
-// p50/p95/p99 and which stage dominated each migration, written to
-// BENCH_analytics.json and gated on >= 95% wall-span coverage.
+// Every row's metrics snapshot must carry all four mpvm.stage.* histograms,
+// and the six migrations also feed the critical-path analytics: per-stage
+// p50/p95/p99 and which stage dominated each migration, gated on >= 95%
+// wall-span coverage.  Rows, stage table and gates land in
+// BENCH_table2.json.
 #include "bench/bench_util.hpp"
-
-#include "obs/trace_analytics.hpp"
 
 namespace {
 
@@ -48,8 +48,25 @@ double raw_tcp_seconds(std::size_t bytes) {
   return done;
 }
 
+constexpr const char* kStages[] = {"freeze", "flush", "transfer", "restart"};
+
+/// Fewest samples any row recorded into each mpvm.stage.* histogram.
+struct StageCounts {
+  std::uint64_t min[std::size(kStages)] = {UINT64_MAX, UINT64_MAX, UINT64_MAX,
+                                           UINT64_MAX};
+
+  void add_row(const obs::MetricsRegistry& reg) {
+    for (std::size_t i = 0; i < std::size(kStages); ++i) {
+      const obs::Histogram* h =
+          reg.find_histogram(std::string("mpvm.stage.") + kStages[i]);
+      min[i] = std::min(min[i], h != nullptr ? h->count() : 0);
+    }
+  }
+};
+
 mpvm::MigrationStats migrate_once(double data_mb, std::ostream& metrics_out,
-                                  std::vector<obs::SpanRecord>& spans) {
+                                  std::vector<obs::SpanRecord>& spans,
+                                  StageCounts& stage_counts) {
   bench::Testbed tb;
   mpvm::Mpvm mpvm(tb.vm);
   opt::PvmOpt app(tb.vm, bench::paper_opt_config(data_mb));
@@ -67,6 +84,7 @@ mpvm::MigrationStats migrate_once(double data_mb, std::ostream& metrics_out,
   // Each row has its own testbed, so the file accumulates one snapshot per
   // row — every snapshot carries that row's mpvm.stage.* histograms.
   bench::append_metrics_jsonl(tb.vm, metrics_out);
+  stage_counts.add_row(tb.vm.metrics());
   bench::collect_spans(tb.vm, spans);
   return stats;
 }
@@ -89,53 +107,58 @@ int main() {
 
   std::ofstream metrics_out("BENCH_metrics.json", std::ios::trunc);
   std::vector<obs::SpanRecord> spans;
+  StageCounts stage_counts;
+  bench::Report rep("table2", "full");
 
-  bool shape_ok = true;
-  double prev_ratio = 1e9;
+  double prev_ratio = 0;
   for (const Row& row : kPaper) {
     // The migrating slave holds half the training set.
     const auto slave_bytes =
         static_cast<std::size_t>(row.data_mb * 1e6 / 2.0);
     const double raw = raw_tcp_seconds(slave_bytes);
     const mpvm::MigrationStats s =
-        migrate_once(row.data_mb, metrics_out, spans);
+        migrate_once(row.data_mb, metrics_out, spans, stage_counts);
     const double ratio = s.obtrusiveness() / raw;
     std::printf(
         "  %-6.1f | %8.2f %8.2f | %8.2f %8.2f | %6.2f %6.2f | %8.2f %8.2f\n",
         row.data_mb, row.paper_raw_tcp, raw, row.paper_obtrusiveness,
         s.obtrusiveness(), row.paper_ratio, ratio, row.paper_migration,
         s.migration_time());
-    shape_ok = shape_ok && raw <= s.obtrusiveness() &&
-               s.obtrusiveness() <= s.migration_time();
+    rep.row("rows", {{"data_mb", row.data_mb},
+                     {"raw_tcp_s", raw},
+                     {"obtrusiveness_s", s.obtrusiveness()},
+                     {"ratio", ratio},
+                     {"migration_s", s.migration_time()},
+                     {"paper_raw_tcp_s", row.paper_raw_tcp},
+                     {"paper_obtrusiveness_s", row.paper_obtrusiveness},
+                     {"paper_ratio", row.paper_ratio},
+                     {"paper_migration_s", row.paper_migration}});
+    char mb[16];
+    std::snprintf(mb, sizeof mb, "%.1fMB", row.data_mb);
+    rep.gate(std::string(mb) + ".raw_tcp_vs_obtrusiveness", raw, "<=",
+             s.obtrusiveness());
+    rep.gate(std::string(mb) + ".obtrusiveness_vs_migration",
+             s.obtrusiveness(), "<=", s.migration_time());
     // The headline shape: the ratio falls toward 1 as size grows.
-    shape_ok = shape_ok && ratio <= prev_ratio + 0.05;
+    if (&row != &kPaper[0])
+      rep.gate(std::string(mb) + ".ratio_vs_previous", ratio, "<=",
+               prev_ratio + 0.05);
     prev_ratio = ratio;
   }
   std::printf(
       "\n  Shape check (raw<=obtrusiveness<=migration; ratio decreasing "
       "toward 1): %s\n",
-      shape_ok ? "PASS" : "FAIL");
+      rep.pass() ? "PASS" : "FAIL");
   std::printf("  metrics: wrote BENCH_metrics.json\n");
+  // Every row's snapshot carries samples in all four stage histograms: an
+  // instrumented stage that silently records nothing fails here.
+  for (std::size_t i = 0; i < std::size(kStages); ++i)
+    rep.gate(std::string("mpvm.stage.") + kStages[i] + ".min_count",
+             stage_counts.min[i], ">", 0);
 
-  obs::TraceAnalytics ta(spans);
-  const bool coverage_ok = ta.migrations() > 0 && ta.coverage_min() >= 0.95;
-  std::printf(
-      "  analytics: %llu migrations, coverage min %.3f (>= 0.95: %s), "
-      "%llu traces skipped\n",
-      static_cast<unsigned long long>(ta.migrations()), ta.coverage_min(),
-      coverage_ok ? "PASS" : "FAIL",
-      static_cast<unsigned long long>(ta.traces_skipped()));
-  {
-    std::ofstream f("BENCH_analytics.json", std::ios::trunc);
-    ta.write_json(f, "table2",
-                  coverage_ok ? "\"gates\": {\"coverage_limit\": 0.95, "
-                                "\"pass\": true}"
-                              : "\"gates\": {\"coverage_limit\": 0.95, "
-                                "\"pass\": false}");
-    std::printf("  analytics: wrote BENCH_analytics.json\n");
-  }
-
+  bench::report_analytics(rep, spans);
   bench::write_trace_json(spans, "BENCH_trace.json");
-  const bool audit_ok = bench::audit_spans(spans);
-  return audit_ok && shape_ok && coverage_ok ? 0 : 1;
+  rep.gate("trace_audit_clean", bench::audit_spans(spans), "==", true);
+  rep.write("BENCH_table2.json");
+  return rep.pass() ? 0 : 1;
 }

@@ -16,12 +16,14 @@
 #include "apps/opt/adm_opt.hpp"
 #include "apps/opt/opt_app.hpp"
 #include "apps/opt/spmd_opt.hpp"
+#include "bench/report.hpp"
 #include "gs/scheduler.hpp"
 #include "mpvm/mpvm.hpp"
 #include "net/tcp.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "obs/trace_analytics.hpp"
 
 namespace cpe::bench {
 
@@ -73,9 +75,8 @@ inline void append_metrics_jsonl(pvm::PvmSystem& vm, std::ostream& os) {
   vm.metrics().write_jsonl(os);
 }
 
-/// Write the VM's full metrics state to `path` (truncating).  Every table
-/// bench leaves a machine-readable BENCH_metrics.json companion this way —
-/// the bench trajectory CI smoke (ci/check.sh bench) regresses against it.
+/// Write the VM's full metrics state to `path` (truncating).  Table benches
+/// leave a machine-readable BENCH_metrics.json companion this way.
 inline void write_metrics_json(pvm::PvmSystem& vm, const std::string& path) {
   std::ofstream f(path, std::ios::trunc);
   vm.metrics().write_jsonl(f);
@@ -156,6 +157,33 @@ inline bool audit_spans(const std::vector<obs::SpanRecord>& spans) {
   std::printf("  audit: %zu violation(s):\n%s", violations.size(),
               obs::TraceAuditor::format(violations).c_str());
   return false;
+}
+
+/// Critical-path attribution over `spans` (DESIGN.md §14.3): the stage
+/// table goes to `rep` as results.analytics, gated on at least one complete
+/// migration and on stage spans covering >= 95% of every migration's wall
+/// span.  Prints the one-line summary.
+inline void report_analytics(Report& rep,
+                             const std::vector<obs::SpanRecord>& spans) {
+  const obs::TraceAnalytics ta(spans);
+  for (const obs::StageStats& s : ta.stage_table())
+    rep.row("analytics", {{"stage", s.stage},
+                          {"count", s.count},
+                          {"dominant", s.dominant},
+                          {"p50", s.p50},
+                          {"p95", s.p95},
+                          {"p99", s.p99},
+                          {"mean", s.mean},
+                          {"max", s.max},
+                          {"total", s.total}});
+  bool ok = rep.gate("analytics.migrations", ta.migrations(), ">", 0);
+  ok &= rep.gate("analytics.coverage_min", ta.coverage_min(), ">=", 0.95);
+  std::printf(
+      "  analytics: %llu migrations, coverage min %.3f (>= 0.95: %s), "
+      "%llu traces skipped\n",
+      static_cast<unsigned long long>(ta.migrations()), ta.coverage_min(),
+      ok ? "PASS" : "FAIL",
+      static_cast<unsigned long long>(ta.traces_skipped()));
 }
 
 }  // namespace cpe::bench

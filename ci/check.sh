@@ -1,20 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build and run the test suite, plain and sanitized.
 #
-#   ci/check.sh            # plain + ASan/UBSan + TSan + bench smoke + audit
+#   ci/check.sh            # plain + ASan/UBSan + TSan + bench + audit + slo
 #   ci/check.sh plain      # plain RelWithDebInfo only
 #   ci/check.sh sanitize   # ASan+UBSan only
 #   ci/check.sh tsan       # ThreadSanitizer only
-#   ci/check.sh bench      # bench smoke: run one table bench, validate the
-#                          # BENCH_metrics.json and BENCH_trace.json it
-#                          # exports (DESIGN.md §9, §10), then the load
-#                          # scale bench + its BENCH_load.json (§11.5), the
-#                          # drain-a-host bench + BENCH_drain.json (§12),
-#                          # the adversarial-network bench +
-#                          # BENCH_adversarial.json (§7), the sim-core
-#                          # throughput bench + BENCH_sim.json (§13), and
-#                          # the service tail-latency bench +
-#                          # BENCH_service.json (§15)
+#   ci/check.sh bench      # bench reports: prove the report validator
+#                          # rejects broken reports, build the six benches
+#                          # that write a report (Table 2, load scale,
+#                          # drain, adversarial network, sim throughput,
+#                          # service tail), run each and check its report
+#                          # with the one schema validator (DESIGN.md §9),
+#                          # then validate their Chrome traces (§10)
 #   ci/check.sh sweeps     # property sweeps only (ctest -L sweep) with a
 #                          # generous timeout: migration x fault, load
 #                          # placement, adversarial-network, and
@@ -47,414 +44,147 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
 }
 
-# Build and run one table bench, then validate the metrics export: the file
-# must be line-delimited strict JSON, every mpvm migration stage must have a
-# non-empty histogram, and no value may be NaN/Inf.  This is the check that
-# would have caught the wire-byte undercount: an instrumented quantity that
-# is silently zero or absent fails here, not three PRs later.
-run_bench_smoke() {
-  cmake -B build -S .
-  cmake --build build -j "$(nproc)" --target bench_table2_mpvm_migration
-  ( cd build && ./bench/bench_table2_mpvm_migration )
-  validate_bench_json build/BENCH_analytics.json
-  python3 - build/BENCH_metrics.json <<'EOF'
-import json, math, sys
+# Check one bench report (bench/report.hpp, DESIGN.md §9) against the one
+# schema: exactly the keys bench/mode/gates/results, the bench name the
+# caller expects, finite numbers and no null anywhere, results as named
+# arrays of flat objects, and a non-empty list of uniquely named gates whose
+# recorded pass agrees with `value cmp limit`.  Every gate must pass.
+validate_report() {
+  python3 - "$1" "$2" <<'EOF'
+import json, math, operator, sys
 
-path = sys.argv[1]
-stages = {f"mpvm.stage.{s}" for s in ("freeze", "flush", "transfer", "restart")}
-seen = {}
-
-def finite(x):
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-with open(path) as f:
-    lines = [ln for ln in f if ln.strip()]
-if not lines:
-    sys.exit(f"{path}: empty metrics export")
-for i, ln in enumerate(lines, 1):
-    try:
-        # json accepts NaN/Infinity by default; parse_constant makes it strict.
-        rec = json.loads(ln, parse_constant=lambda c: float("nan"))
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}:{i}: not valid JSON: {e}")
-    for key in ("t", "value", "sum", "min", "max", "mean", "p50", "p90", "p99"):
-        if key in rec and not finite(rec[key]):
-            sys.exit(f"{path}:{i}: non-finite {key} in {rec.get('name')}")
-    if rec.get("type") == "histogram":
-        for b in rec.get("buckets", []):
-            if b["le"] is not None and not finite(b["le"]):
-                sys.exit(f"{path}:{i}: non-finite bucket bound")
-        if rec["name"] in stages:
-            seen[rec["name"]] = seen.get(rec["name"], 0) + rec["count"]
-            if rec["count"] == 0 or not rec.get("buckets"):
-                sys.exit(f"{path}:{i}: empty histogram for {rec['name']}")
-
-missing = stages - set(seen)
-if missing:
-    sys.exit(f"{path}: no histogram exported for: {', '.join(sorted(missing))}")
-print(f"bench smoke: {len(lines)} metric lines, per-stage samples: "
-      + ", ".join(f"{k.split('.')[-1]}={v}" for k, v in sorted(seen.items())))
-EOF
-  validate_trace build/BENCH_trace.json
-  run_bench_load
-}
-
-# One reusable validator for every per-bench JSON artifact.  Each bench
-# stamps a "bench" key into its export; the validator parses strictly
-# (NaN/Infinity rejected) and dispatches to the matching schema + gate
-# check.  Adding a bench means adding one check_* function here — the
-# strict-parse plumbing, finiteness helpers, and failure reporting are
-# shared, not copy-pasted per bench.
-validate_bench_json() {
-  python3 - "$1" <<'EOF'
-import json, math, sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f, parse_constant=lambda c: float("nan"))
-
-def finite(x):
-    return isinstance(x, (int, float)) and math.isfinite(x)
+path, want = sys.argv[1], sys.argv[2]
 
 def fail(msg):
     sys.exit(f"{path}: {msg}")
 
-def require(*keys):
-    for key in keys:
-        if key not in doc:
-            fail(f"missing key {key!r}")
+def reject(token):
+    fail(f"non-finite number {token}")
 
-def check_gate_ratio(gates, ratio_key, limit_key, at_most):
-    if gates.get("pass") is not True:
-        fail(f"gate failure: {gates}")
-    ratio, limit = gates.get(ratio_key), gates.get(limit_key)
-    if not (finite(ratio) and finite(limit)):
-        fail(f"non-finite {ratio_key}/{limit_key} in gates")
-    if (ratio > limit) if at_most else (ratio < limit):
-        fail(f"{ratio_key} {ratio!r} breaks limit {limit!r}")
+with open(path) as f:
+    doc = json.load(f, parse_constant=reject)
 
-# BENCH_load.json: one entry per policy including the no-balancing
-# baseline, every real policy below the baseline CV with zero hysteresis
-# violations (DESIGN.md §11.5).
-def check_load_scale():
-    require("hosts", "tasks", "horizon", "steady_window", "policies")
-    policies = doc["policies"]
-    want = {"none", "threshold", "best_fit", "destination_swap", "work_steal"}
-    got = {p.get("policy") for p in policies}
-    if got != want:
-        fail(f"policies {sorted(got)} != expected {sorted(want)}")
-    baseline = next(p for p in policies if p["policy"] == "none")
-    if not finite(baseline["cv"]) or baseline["cv"] <= 0:
-        fail(f"baseline cv {baseline['cv']!r} not a positive float")
-    for p in policies:
-        for key in ("cv", "migrations", "thrash", "residency_rejections",
-                    "decisions", "convergence_s"):
-            if not finite(p.get(key)):
-                fail(f"{p['policy']}: non-finite {key}")
-        if p["policy"] == "none":
-            continue
-        if p["cv"] >= baseline["cv"]:
-            fail(f"{p['policy']}: cv {p['cv']} not below baseline "
-                 f"{baseline['cv']}")
-        if p["thrash"] != 0:
-            fail(f"{p['policy']}: {p['thrash']} hysteresis violations")
-        if p["migrations"] == 0:
-            fail(f"{p['policy']}: balanced without migrating?")
-        if p["convergence_s"] < 0:
-            fail(f"{p['policy']}: ewma(gs.load.cv) never converged")
-    print("load bench: baseline cv %.4f; " % baseline["cv"]
-          + ", ".join(f"{p['policy']}={p['cv']:.4f}" for p in policies
-                      if p["policy"] != "none"))
+if not isinstance(doc, dict) or set(doc) != {"bench", "mode", "gates",
+                                             "results"}:
+    fail("top-level keys must be exactly bench, mode, gates, results")
+if doc["bench"] != want:
+    fail(f"bench {doc['bench']!r}, expected {want!r}")
 
-# BENCH_drain.json: one run per k plus the pre-copy run, and the two §12
-# acceptance gates — k=4 evacuation at most 0.45x serial, pre-copy median
-# freeze at most 0.25x stop-and-copy.
-def check_drain_host():
-    require("tasks", "dests", "image_bytes", "runs", "gates")
-    runs = doc["runs"]
-    want = {(1, False), (2, False), (4, False), (8, False), (4, True)}
-    got = {(r.get("k"), r.get("precopy")) for r in runs}
-    if got != want:
-        fail(f"runs {sorted(got)} != expected {sorted(want)}")
-    for r in runs:
-        for key in ("evacuation_s", "freeze_p50_ms", "freeze_p90_ms",
-                    "freeze_max_ms", "freeze_p99_ms", "precopy_bytes",
-                    "residue_bytes", "admission_waits", "slo_violations"):
-            if not finite(r.get(key)):
-                fail(f"k={r['k']}: non-finite {key}")
-        if r["migrated"] != doc["tasks"]:
-            fail(f"k={r['k']} precopy={r['precopy']}: drained "
-                 f"{r['migrated']}/{doc['tasks']} tasks")
-        if r["precopy"] and r["precopy_bytes"] == 0:
-            fail("pre-copy run streamed zero bytes before freeze")
-        if r["slo_violations"] != 0:
-            fail(f"k={r['k']}: inflight-cap SLO fired "
-                 f"{r['slo_violations']} times")
-    check_gate_ratio(doc["gates"], "speedup_ratio", "speedup_limit",
-                     at_most=True)
-    check_gate_ratio(doc["gates"], "freeze_ratio", "freeze_limit",
-                     at_most=True)
-    check_gate_ratio(doc["gates"], "freeze_p99_ratio", "freeze_p99_limit",
-                     at_most=True)
-    gates = doc["gates"]
-    print("drain bench: evac k=4/k=1 %.3f <= %.2f, precopy freeze %.3f <= "
-          "%.2f, p99 %.3f <= %.2f"
-          % (gates["speedup_ratio"], gates["speedup_limit"],
-             gates["freeze_ratio"], gates["freeze_limit"],
-             gates["freeze_p99_ratio"], gates["freeze_p99_limit"]))
+def walk(x, where):
+    if x is None:
+        fail(f"null at {where}")
+    if isinstance(x, float) and not math.isfinite(x):
+        fail(f"non-finite number at {where}")
+    for k, v in (x.items() if isinstance(x, dict) else
+                 enumerate(x) if isinstance(x, list) else ()):
+        walk(v, f"{where}.{k}")
+walk(doc, "$")
 
-# BENCH_adversarial.json: one run per fabric scenario, exactly-once and
-# unscathed streams everywhere, the injectors provably fired, and the §7
-# gate — goodput under 1% corruption + duplication at least 0.6x clean.
-def check_adversarial_net():
-    require("seed", "horizon", "pairs", "messages_per_pair",
-            "payload_bytes", "runs", "gates")
-    runs = doc["runs"]
-    want = {"clean", "corrupt1pct", "duplicate", "corrupt+duplicate"}
-    got = {r.get("scenario") for r in runs}
-    if got != want:
-        fail(f"scenarios {sorted(got)} != expected {sorted(want)}")
-    expect = doc["pairs"] * doc["messages_per_pair"]
-    for r in runs:
-        s = r["scenario"]
-        for key in ("goodput_bps", "elapsed_s", "messages", "garbled",
-                    "duplicates_injected", "corrupt_injected",
-                    "corrupt_dropped", "retransmits"):
-            if not finite(r.get(key)):
-                fail(f"{s}: non-finite {key}")
-        if r["messages"] != expect:
-            fail(f"{s}: delivered {r['messages']}/{expect} messages")
-        if r["garbled"] != 0:
-            fail(f"{s}: {r['garbled']} garbled payloads reached the app")
-        if r["goodput_bps"] <= 0:
-            fail(f"{s}: goodput {r['goodput_bps']!r} not positive")
-        if "corrupt" in s and r["corrupt_injected"] == 0:
-            fail(f"{s}: corruption armed but never injected")
-        if "duplicate" in s and r["duplicates_injected"] == 0:
-            fail(f"{s}: duplication armed but never injected")
-        if s == "clean" and (r["duplicates_injected"] or
-                             r["corrupt_injected"]):
-            fail("clean run saw injections")
-    check_gate_ratio(doc["gates"], "goodput_ratio", "goodput_limit",
-                     at_most=False)
-    gates = doc["gates"]
-    print("adversarial bench: goodput corrupt+dup/clean %.3f >= %.2f"
-          % (gates["goodput_ratio"], gates["goodput_limit"]))
+results = doc["results"]
+if not isinstance(results, dict):
+    fail("results is not an object")
+for table, rows in results.items():
+    if not isinstance(rows, list) or not all(
+            isinstance(r, dict) and all(isinstance(v, (str, int, float))
+                                        for v in r.values()) for r in rows):
+        fail(f"results.{table} is not an array of flat objects")
 
-# BENCH_sim.json: calendar-queue engine vs the pinned legacy heap engine
-# (DESIGN.md §13).  Every workload must post finite positive event rates and
-# clear its own speedup floor; the headline gate is timer_churn's >= 5x.
-def check_sim_throughput():
-    require("mode", "workloads", "gates")
-    workloads = doc["workloads"]
-    want = {"hold", "timer_churn"}
-    got = {w.get("name") for w in workloads}
-    if got != want:
-        fail(f"workloads {sorted(got)} != expected {sorted(want)}")
-    for w in workloads:
-        for key in ("events", "baseline_eps", "calendar_eps", "speedup",
-                    "limit"):
-            if not finite(w.get(key)):
-                fail(f"{w['name']}: non-finite {key}")
-        if w["baseline_eps"] <= 0 or w["calendar_eps"] <= 0:
-            fail(f"{w['name']}: non-positive event rate")
-        if w["speedup"] < w["limit"]:
-            fail(f"{w['name']}: speedup {w['speedup']:.2f} below floor "
-                 f"{w['limit']}")
-    check_gate_ratio(doc["gates"], "speedup_ratio", "speedup_limit",
-                     at_most=False)
-    an = doc.get("analytics")
-    if not isinstance(an, dict):
-        fail("missing analytics overhead block")
-    for key in ("plain_eps", "metered_eps", "overhead", "overhead_limit"):
-        if not finite(an.get(key)):
-            fail(f"analytics: non-finite {key}")
-    check_gate_ratio(doc["gates"], "analytics_overhead",
-                     "analytics_overhead_limit", at_most=True)
-    print("sim bench (%s): " % doc["mode"]
-          + ", ".join(f"{w['name']}={w['speedup']:.2f}x" for w in workloads)
-          + ", analytics overhead %.2f%% <= %.0f%%"
-          % (an["overhead"] * 100, an["overhead_limit"] * 100))
-
-# BENCH_analytics.json: the critical-path attribution document (DESIGN.md
-# §14).  Percentiles must be finite and ordered, dominant-stage counts must
-# partition the migrations exactly, coverage must clear the 95% floor, and
-# the producing bench's own analytics gates must have passed.
-def check_analytics():
-    require("source", "quantile_growth", "migrations", "traces_skipped",
-            "coverage_min", "coverage_mean", "stages", "gates")
-    if doc["source"] not in ("table2", "drain_host", "load_scale",
-                             "service_tail"):
-        fail(f"unknown analytics source {doc['source']!r}")
-    if not finite(doc["migrations"]) or doc["migrations"] <= 0:
-        fail(f"migrations {doc['migrations']!r} not positive")
-    gates = doc["gates"]
-    if gates.get("pass") is not True:
-        fail(f"analytics gate failure: {gates}")
-    limit = gates.get("coverage_limit")
-    if not (finite(doc["coverage_min"]) and finite(limit)):
-        fail("non-finite coverage_min/coverage_limit")
-    if doc["coverage_min"] < limit:
-        fail(f"coverage_min {doc['coverage_min']} below {limit}")
-    stages = doc["stages"]
-    if not stages:
-        fail("empty stage table")
-    dominant = 0
-    for s in stages:
-        for key in ("count", "dominant", "p50", "p95", "p99", "mean",
-                    "max", "total"):
-            if not finite(s.get(key)):
-                fail(f"{s.get('stage')}: non-finite {key}")
-        if not (s["p50"] <= s["p95"] <= s["p99"]):
-            fail(f"{s['stage']}: percentiles out of order")
-        dominant += s["dominant"]
-    if dominant != doc["migrations"]:
-        fail(f"dominant counts sum to {dominant}, migrations "
-             f"{doc['migrations']} (attribution must partition)")
-    print("analytics (%s): %d migrations, coverage min %.3f, dominated by "
-          % (doc["source"], doc["migrations"], doc["coverage_min"])
-          + ", ".join(f"{s['stage'].split('.')[-1]}:{s['dominant']}"
-                      for s in stages if s["dominant"]))
-
-# BENCH_service.json: the service-workload tail-latency document (DESIGN.md
-# §15).  The open-loop day profile must clear the 1M requests/virtual-day
-# floor with exactly-once accounting and a clean trace audit; the storm
-# matrix must cover every policy (plus the pre-copy variant), at least one
-# adaptive policy must beat "none" on p99, and pre-copy must not lose to
-# stop-and-copy on either p99 or mean freeze.
-def check_service():
-    require("mode", "day", "storm", "gates")
-    day = doc["day"]
-    for key in ("rate_rps", "horizon", "requests", "requests_per_vday",
-                "p50", "p95", "p99"):
-        if not finite(day.get(key)):
-            fail(f"day: non-finite {key}")
-    if not (day["p50"] <= day["p95"] <= day["p99"]):
-        fail("day: latency percentiles out of order")
-    if day.get("exactly_once") is not True:
-        fail("day: exactly-once accounting failed")
-    if day.get("audit_violations") != 0:
-        fail(f"day: {day.get('audit_violations')} trace-audit violations")
-    runs = doc["storm"].get("runs")
-    if not isinstance(runs, list) or not runs:
-        fail("storm: missing runs")
-    want = {"none", "threshold", "best_fit", "destination_swap",
-            "work_steal"}
-    got = {r.get("policy") for r in runs}
-    if got != want:
-        fail(f"storm policies {sorted(got)} != expected {sorted(want)}")
-    if not any(r.get("precopy") for r in runs):
-        fail("storm: no pre-copy run in the matrix")
-    for r in runs:
-        tag = f"{r.get('policy')}{'+precopy' if r.get('precopy') else ''}"
-        if r.get("exactly_once") is not True:
-            fail(f"storm {tag}: exactly-once accounting failed")
-        if r.get("audit_violations") != 0:
-            fail(f"storm {tag}: trace-audit violations")
-        for key in ("p50", "p95", "p99", "queue_wait_p99", "mean_freeze_s"):
-            if not finite(r.get(key)):
-                fail(f"storm {tag}: non-finite {key}")
-        if r["policy"] != "none" and r.get("migrations", 0) <= 0:
-            fail(f"storm {tag}: adaptive policy never migrated")
-    gates = doc["gates"]
-    if gates.get("pass") is not True:
-        fail(f"gate failure: {gates}")
-    check_gate_ratio(gates, "vday_floor", "requests_per_vday", at_most=True)
-    check_gate_ratio(gates, "best_adaptive_p99", "none_p99", at_most=True)
-    check_gate_ratio(gates, "precopy_p99", "stopcopy_p99", at_most=True)
-    check_gate_ratio(gates, "precopy_mean_freeze_s", "stopcopy_mean_freeze_s",
-                     at_most=True)
-    print("service bench (%s): %.2fM req/vday, day p99 %.3fs; storm none p99 "
-          "%.3fs -> %s %.3fs; freeze stopcopy %.3fs -> precopy %.3fs"
-          % (doc["mode"], day["requests_per_vday"] / 1e6, day["p99"],
-             gates["none_p99"], gates["best_adaptive"],
-             gates["best_adaptive_p99"], gates["stopcopy_mean_freeze_s"],
-             gates["precopy_mean_freeze_s"]))
-
-checks = {
-    "load_scale": check_load_scale,
-    "drain_host": check_drain_host,
-    "adversarial_net": check_adversarial_net,
-    "sim_throughput": check_sim_throughput,
-    "service": check_service,
-    "analytics": check_analytics,
-}
-kind = doc.get("bench")
-if kind not in checks:
-    fail(f"unknown bench kind {kind!r} (validators: {sorted(checks)})")
-checks[kind]()
+ops = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge, "==": operator.eq}
+def number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+gates = doc["gates"]
+if not isinstance(gates, list) or not gates:
+    fail("no gates")
+names = set()
+for g in gates:
+    if not isinstance(g, dict) or set(g) != {"name", "value", "cmp", "limit",
+                                             "pass"}:
+        fail(f"gate {g!r} lacks one of name, value, cmp, limit, pass")
+    if g["name"] in names:
+        fail(f"duplicate gate {g['name']!r}")
+    names.add(g["name"])
+    if (g["cmp"] not in ops or not number(g["value"])
+            or not number(g["limit"]) or not isinstance(g["pass"], bool)):
+        fail(f"gate {g['name']!r} is malformed: {g!r}")
+    if g["pass"] != ops[g["cmp"]](g["value"], g["limit"]):
+        fail(f"gate {g['name']!r} records pass={g['pass']} but "
+             f"{g['value']!r} {g['cmp']} {g['limit']!r} disagrees")
+failed = [g["name"] for g in gates if not g["pass"]]
+if failed:
+    fail(f"failed gates: {', '.join(failed)}")
+print(f"report {want} ({doc['mode']}): {len(gates)} gates pass; results "
+      + ", ".join(f"{t}[{len(r)}]" for t, r in results.items()))
 EOF
 }
 
-# Build and run the load-balancing scale bench (1024 hosts, 16384 tasks)
-# and
-# validate BENCH_load.json.  The bench binary itself exits nonzero when its
-# span audit or shape gate fails, so a pass here means the whole decide ->
-# migrate -> trace chain held at scale.
-run_bench_load() {
-  cmake -B build -S .
-  cmake --build build -j "$(nproc)" --target bench_load_scale
-  ( cd build && ./bench/bench_load_scale )
-  validate_bench_json build/BENCH_load.json
-  validate_bench_json build/BENCH_analytics.json
-  validate_trace build/BENCH_load_trace.json
-  run_bench_drain
+# Prove the validator validates: each broken report below must be rejected,
+# and the well-formed one they are cut from accepted.
+check_validator() {
+  local dir=build/report-validator case
+  mkdir -p "$dir"
+  python3 - "$dir" <<'EOF'
+import copy, json, sys
+
+good = {"bench": "b", "mode": "full",
+        "gates": [{"name": "g", "value": 1, "cmp": "<=", "limit": 2,
+                   "pass": True}],
+        "results": {"rows": [{"x": 1, "s": "a", "ok": True}]}}
+edits = {
+    "good": lambda d: None,
+    "null_in_results": lambda d: d["results"]["rows"][0].update(x=None),
+    "pass_disagrees": lambda d: d["gates"][0].update(limit=0),
+    "failing_gate": lambda d: d["gates"][0].update({"value": 3,
+                                                    "pass": False}),
+    "gate_without_cmp": lambda d: d["gates"][0].pop("cmp"),
+    "empty_gate_list": lambda d: d.update(gates=[]),
+}
+for name, edit in edits.items():
+    doc = copy.deepcopy(good)
+    edit(doc)
+    with open(f"{sys.argv[1]}/{name}.json", "w") as f:
+        json.dump(doc, f)
+EOF
+  validate_report "$dir/good.json" b > /dev/null
+  for case in null_in_results:b pass_disagrees:b failing_gate:b \
+              gate_without_cmp:b empty_gate_list:b good:wrong_bench; do
+    if validate_report "$dir/${case%%:*}.json" "${case#*:}" 2> /dev/null; then
+      echo "check.sh bench: the validator accepted a broken report" \
+           "(${case%%:*}, bench ${case#*:})" >&2
+      exit 1
+    fi
+  done
+  echo "report validator: rejects all 6 broken reports"
 }
 
-# Build and run the drain-a-host bench (32 tasks evacuated by k concurrent
-# migration streams) and validate BENCH_drain.json.  The binary itself
-# exits nonzero when a gate or its span audit fails, so a pass here means
-# concurrent drains stayed deadlock-free.
-run_bench_drain() {
-  cmake -B build -S .
-  cmake --build build -j "$(nproc)" --target bench_drain_host
-  ( cd build && ./bench/bench_drain_host )
-  validate_bench_json build/BENCH_drain.json
-  validate_bench_json build/BENCH_analytics.json
-  validate_trace build/BENCH_drain_trace.json
-  run_bench_adversarial
-}
+# Each bench that writes a report: target, arguments, report, bench name.
+bench_reports=(
+  "bench_table2_mpvm_migration||BENCH_table2.json|table2"
+  "bench_load_scale||BENCH_load.json|load_scale"
+  "bench_drain_host||BENCH_drain.json|drain_host"
+  "bench_adversarial_net||BENCH_adversarial.json|adversarial_net"
+  "bench_sim_throughput||BENCH_sim.json|sim_throughput"
+  "bench_service_tail|--smoke|BENCH_service.json|service"
+)
 
-# Build and run the adversarial-network goodput bench (streams under
-# duplication + 1% corruption) and validate BENCH_adversarial.json.  The
-# binary exits nonzero when a stream loses or garbles a message or the
-# goodput gate fails, so a pass here means the exactly-once defenses
-# degrade gracefully under fire.
-run_bench_adversarial() {
+# Build the six report benches once, run each (a bench exits nonzero when a
+# gate fails), check every report, then the span traces four of them export.
+run_bench() {
+  check_validator
+  local entry target args report bench targets=()
+  for entry in "${bench_reports[@]}"; do targets+=("${entry%%|*}"); done
   cmake -B build -S .
-  cmake --build build -j "$(nproc)" --target bench_adversarial_net
-  ( cd build && ./bench/bench_adversarial_net )
-  validate_bench_json build/BENCH_adversarial.json
-  run_bench_sim
-}
-
-# Build and run the sim-core throughput bench in full (acceptance) mode —
-# calendar queue + pooled events vs the pinned legacy heap+std::function
-# engine — and validate BENCH_sim.json.  The binary exits nonzero when a
-# workload misses its speedup floor, so a pass here re-proves the >= 5x
-# timer_churn bar, not just the smoke floor the per-commit ctest label runs.
-run_bench_sim() {
-  cmake -B build -S .
-  cmake --build build -j "$(nproc)" --target bench_sim_throughput
-  ( cd build && ./bench/bench_sim_throughput )
-  validate_bench_json build/BENCH_sim.json
-  run_bench_service
-}
-
-# Build and run the service-workload tail-latency bench in smoke mode (the
-# storm matrix is full-size either way; only the diurnal day profile is
-# shortened) and validate BENCH_service.json + the analytics and trace
-# exports.  The binary exits nonzero when a gate fails — per-vday floor,
-# adaptive-beats-none on p99, pre-copy <= stop-and-copy — so a pass here
-# means the whole arrival -> route -> serve -> migrate -> histogram chain
-# held under an owner-reclamation storm.
-run_bench_service() {
-  cmake -B build -S .
-  cmake --build build -j "$(nproc)" --target bench_service_tail
-  ( cd build && ./bench/bench_service_tail --smoke )
-  validate_bench_json build/BENCH_service.json
-  validate_bench_json build/BENCH_analytics.json
-  validate_trace build/BENCH_service_trace.json
+  cmake --build build -j "$(nproc)" --target "${targets[@]}"
+  for entry in "${bench_reports[@]}"; do
+    IFS='|' read -r target args report bench <<< "$entry"
+    # shellcheck disable=SC2086  # args is empty or one word
+    ( cd build && "./bench/$target" $args )
+    validate_report "build/$report" "$bench"
+  done
+  for report in BENCH_trace BENCH_load_trace BENCH_drain_trace \
+                BENCH_service_trace; do
+    validate_trace "build/$report.json"
+  done
 }
 
 # The Chrome trace export must be strict JSON with a non-empty traceEvents
@@ -725,7 +455,7 @@ case "$mode" in
     run_suite build-tsan -DCPE_SANITIZE=thread
     ;;
   bench)
-    run_bench_smoke
+    run_bench
     ;;
   sweeps)
     run_sweeps
@@ -754,7 +484,7 @@ case "$mode" in
     run_suite build
     run_suite build-asan -DCPE_SANITIZE=address
     run_suite build-tsan -DCPE_SANITIZE=thread
-    run_bench_smoke
+    run_bench
     run_audit
     run_bench_slo
     ;;

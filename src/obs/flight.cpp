@@ -1,6 +1,5 @@
 #include "obs/flight.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -12,13 +11,6 @@
 namespace cpe::obs {
 
 namespace {
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 void write_window(std::ostream& os, const Window& w) {
   os << "{\"t\":" << json_num(w.t) << ",\"dt\":" << json_num(w.dt)

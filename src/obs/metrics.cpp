@@ -9,19 +9,6 @@
 
 namespace cpe::obs {
 
-namespace {
-
-/// Format a double as strict JSON: finite shortest-ish representation.
-/// Callers guarantee finiteness (record() clamps; exporters substitute 0).
-std::string json_num(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Histogram
 
@@ -213,7 +200,14 @@ sim::Time StageTimer::commit() {
 }
 
 // ---------------------------------------------------------------------------
-// Trace export
+// JSON text
+
+std::string json_num(double v) {
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  return buf;
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;

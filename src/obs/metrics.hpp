@@ -6,9 +6,8 @@
 // log-bucketed Histograms behind a MetricsRegistry, plus an RAII StageTimer
 // that turns a scope (a protocol stage, a redistribution round, a recovery)
 // into a histogram sample of *virtual* time.  Snapshots export as JSONL so
-// benches emit machine-readable BENCH_metrics.json files and the bench
-// trajectory can be regressed against (DESIGN.md §9 documents the schema
-// and the metric-name taxonomy).
+// benches emit machine-readable BENCH_metrics.json files (DESIGN.md §9
+// documents the schema and the metric-name taxonomy).
 //
 // Everything here is simulation-time aware but engine-passive: metrics never
 // schedule events, so instrumentation cannot perturb a deterministic replay.
@@ -246,6 +245,10 @@ class StageTimer {
   sim::Time start_;
   bool done_ = false;
 };
+
+/// A double as strict JSON in `%.9g` form; a non-finite value is written
+/// as 0 (the metrics and flight exports never carry NaN or Infinity).
+[[nodiscard]] std::string json_num(double v);
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 [[nodiscard]] std::string json_escape(std::string_view s);

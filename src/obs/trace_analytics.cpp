@@ -1,21 +1,11 @@
 #include "obs/trace_analytics.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <ostream>
 #include <unordered_map>
 
 namespace cpe::obs {
 
 namespace {
-
-std::string json_num(double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 bool is_stage_child(const SpanRecord& s) {
   return !s.instant && s.name.starts_with("mpvm.");
@@ -143,34 +133,6 @@ const Histogram* TraceAnalytics::stage_histogram(
     std::string_view stage) const {
   const auto it = stage_hist_.find(stage);
   return it == stage_hist_.end() ? nullptr : &it->second;
-}
-
-void TraceAnalytics::write_json(std::ostream& os, std::string_view source,
-                                std::string_view extra_members) const {
-  os << "{\n"
-     << "  \"bench\": \"analytics\",\n"
-     << "  \"source\": \"" << json_escape(source) << "\",\n"
-     << "  \"quantile_growth\": " << json_num(geometry_.growth) << ",\n"
-     << "  \"migrations\": " << paths_.size() << ",\n"
-     << "  \"traces_skipped\": " << skipped_ << ",\n"
-     << "  \"coverage_min\": " << json_num(coverage_min_) << ",\n"
-     << "  \"coverage_mean\": " << json_num(coverage_mean()) << ",\n"
-     << "  \"stages\": [";
-  bool first = true;
-  for (const StageStats& s : stage_table()) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\"stage\": \"" << json_escape(s.stage)
-       << "\", \"count\": " << s.count << ", \"dominant\": " << s.dominant
-       << ", \"p50\": " << json_num(s.p50) << ", \"p95\": " << json_num(s.p95)
-       << ", \"p99\": " << json_num(s.p99)
-       << ", \"mean\": " << json_num(s.mean)
-       << ", \"max\": " << json_num(s.max)
-       << ", \"total\": " << json_num(s.total) << "}";
-  }
-  os << "\n  ]";
-  if (!extra_members.empty()) os << ",\n  " << extra_members;
-  os << "\n}\n";
 }
 
 }  // namespace cpe::obs

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <string_view>
@@ -98,14 +97,6 @@ class TraceAnalytics {
   [[nodiscard]] std::vector<StageStats> stage_table() const;
   /// Fine histogram for one stage; nullptr when the stage never appeared.
   [[nodiscard]] const Histogram* stage_histogram(std::string_view stage) const;
-
-  /// The BENCH_analytics.json document (DESIGN.md §14).  `source` names the
-  /// producing bench ("table2", "drain_host", "load_scale", ...);
-  /// `extra_members` is a pre-rendered JSON fragment ("\"k\":v,...", no
-  /// surrounding braces) appended verbatim — benches use it for SLO tallies
-  /// and bench-specific gates.
-  void write_json(std::ostream& os, std::string_view source,
-                  std::string_view extra_members = {}) const;
 
  private:
   void analyse(const std::vector<SpanRecord>& spans, MetricsRegistry* reg);

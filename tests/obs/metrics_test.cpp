@@ -208,7 +208,8 @@ TEST(Registry, JsonlExportIsSortedStrictAndSparse) {
   // one exported as "le":null.
   EXPECT_NE(out.find("\"buckets\":[{\"le\":2,\"n\":1},{\"le\":null,\"n\":1}]"),
             std::string::npos);
-  // Empty histogram exports count 0 (the CI smoke rejects it loudly).
+  // Empty histogram exports count 0 (Table 2's mpvm.stage.* gates reject
+  // a stage histogram left empty).
   EXPECT_NE(out.find("\"name\":\"h.empty\",\"count\":0"), std::string::npos);
 }
 

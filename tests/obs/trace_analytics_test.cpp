@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace cpe::obs {
 namespace {
 
@@ -164,19 +162,6 @@ TEST(TraceAnalytics, PartialCoverageReported) {
   ASSERT_EQ(ta.migrations(), 1u);
   EXPECT_DOUBLE_EQ(ta.coverage_min(), 0.8);
   EXPECT_DOUBLE_EQ(ta.coverage_mean(), 0.8);
-}
-
-TEST(TraceAnalytics, WriteJsonEmitsSchemaAndExtras) {
-  TraceAnalytics ta(clean_migration(1, 1));
-  std::ostringstream os;
-  ta.write_json(os, "table2", "\"slo\": {\"rules\": 0}");
-  const std::string doc = os.str();
-  EXPECT_NE(doc.find("\"bench\": \"analytics\""), std::string::npos);
-  EXPECT_NE(doc.find("\"source\": \"table2\""), std::string::npos);
-  EXPECT_NE(doc.find("\"migrations\": 1"), std::string::npos);
-  EXPECT_NE(doc.find("\"stage\": \"mpvm.transfer\""), std::string::npos);
-  EXPECT_NE(doc.find("\"slo\": {\"rules\": 0}"), std::string::npos);
-  EXPECT_NE(doc.find("\"coverage_min\": 1"), std::string::npos);
 }
 
 }  // namespace
