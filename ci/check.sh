@@ -30,9 +30,10 @@
 #                          # 7919, and fail on any differing digest line
 #   ci/check.sh parity REV # output parity: build the benches and examples
 #                          # at REV (a temporary worktree) and in the
-#                          # working tree, run the 22 deterministic benches
-#                          # and every example, each in a fresh directory,
-#                          # and fail on any differing stdout or exit code
+#                          # working tree, run the 22 deterministic benches,
+#                          # bench_load_scale, bench_service_tail and every
+#                          # example, each in a fresh directory, and fail
+#                          # on any differing stdout or exit code
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -309,9 +310,9 @@ run_digest() {
 # Output parity against a revision: every deterministic bench and example
 # must print what REV prints and exit as it does.  Both sides build the
 # bench and example targets (no tests), and each binary runs in a fresh
-# temporary working directory, so no run reads another's BENCH_*.json.  The
-# host-timed benches (bench_micro, bench_sim_throughput, bench_load_scale,
-# bench_service_tail) print wall-clock readings and are left out.
+# temporary working directory, so no run reads another's BENCH_*.json.
+# bench_micro and bench_sim_throughput print host-timed readings and are
+# left out.
 run_parity() {
   local rev="$1"
   checkout_rev parity "$rev"
@@ -331,7 +332,8 @@ run_parity() {
   for f in bench/bench_table*.cpp bench/bench_fig*.cpp \
            bench/bench_ablation_*.cpp bench/bench_adversarial_net.cpp \
            bench/bench_fault_recovery.cpp bench/bench_gs_failover.cpp \
-           bench/bench_drain_host.cpp examples/*.cpp; do
+           bench/bench_drain_host.cpp bench/bench_load_scale.cpp \
+           bench/bench_service_tail.cpp examples/*.cpp; do
     bins+=("${f%.cpp}")
   done
   local bin run code diff=0

@@ -227,8 +227,7 @@ TimeSeries& Analytics::track_gauge(std::string_view name) {
   return t.series;
 }
 
-TimeSeries& Analytics::track_histogram(std::string_view name,
-                                       HistogramOptions hopt) {
+TimeSeries& Analytics::track_histogram(std::string_view name) {
   if (Tracked* t = find_tracked(name)) {
     CPE_EXPECTS(t->series.kind() == SeriesKind::kHistogram);
     return t->series;
@@ -236,11 +235,12 @@ TimeSeries& Analytics::track_histogram(std::string_view name,
   Tracked& t = tracked_.emplace_back(std::string(name),
                                      SeriesKind::kHistogram,
                                      opt_.ring_windows);
-  t.hist = &reg_->histogram(name, hopt);
+  t.hist = &reg_->histogram(name);
   t.prev_count = t.hist->count();
   t.prev_sum = t.hist->sum();
-  t.prev_buckets.assign(static_cast<std::size_t>(t.hist->buckets()), 0);
-  for (int i = 0; i < t.hist->buckets(); ++i)
+  t.prev_buckets.assign(Histogram::kBuckets, 0);
+  t.window_buckets.assign(Histogram::kBuckets, 0);
+  for (int i = 0; i < Histogram::kBuckets; ++i)
     t.prev_buckets[static_cast<std::size_t>(i)] = t.hist->bucket_count(i);
   return t.series;
 }
@@ -390,43 +390,24 @@ void Analytics::roll(Tracked& t, sim::Time now, sim::Time dt) noexcept {
       w.sum = dsum;
       w.value = delta > 0 ? dsum / static_cast<double>(delta) : 0.0;
       if (delta > 0) {
-        // Window quantiles from bucket-count deltas: one pass, no scratch
-        // beyond the preallocated prev_buckets.  Same rank convention and
-        // error bound as Histogram::quantile (see metrics.hpp).
-        const auto rank = [delta](double q) {
-          return static_cast<std::uint64_t>(
-              std::ceil(q * static_cast<double>(delta)));
-        };
-        const std::uint64_t r50 = rank(0.50);
-        const std::uint64_t r95 = rank(0.95);
-        const std::uint64_t r99 = rank(0.99);
-        std::uint64_t cum = 0;
-        bool saw_min = false, got50 = false, got95 = false, got99 = false;
-        for (int i = 0; i < h.buckets(); ++i) {
+        // This window's samples are the bucket counts minus the last
+        // window's copy; both scratch arrays are preallocated.
+        bool saw_min = false;
+        for (int i = 0; i < Histogram::kBuckets; ++i) {
           const auto idx = static_cast<std::size_t>(i);
           const std::uint64_t d = h.bucket_count(i) - t.prev_buckets[idx];
           t.prev_buckets[idx] = h.bucket_count(i);
+          t.window_buckets[idx] = d;
           if (d == 0) continue;
           if (!saw_min) {
-            w.min = i == 0 ? 0.0 : h.bucket_bound(i - 1);
+            w.min = i == 0 ? 0.0 : Histogram::bucket_bound(i - 1);
             saw_min = true;
           }
-          const double bound = std::min(h.bucket_bound(i), h.max());
-          w.max = bound;
-          cum += d;
-          if (!got50 && cum >= r50) {
-            w.p50 = bound;
-            got50 = true;
-          }
-          if (!got95 && cum >= r95) {
-            w.p95 = bound;
-            got95 = true;
-          }
-          if (!got99 && cum >= r99) {
-            w.p99 = bound;
-            got99 = true;
-          }
+          w.max = std::min(Histogram::bucket_bound(i), h.max());
         }
+        w.p50 = h.quantile(t.window_buckets, delta, 0.50);
+        w.p95 = h.quantile(t.window_buckets, delta, 0.95);
+        w.p99 = h.quantile(t.window_buckets, delta, 0.99);
         w.ewma = first ? w.value
                        : opt_.ewma_alpha * w.value +
                              (1.0 - opt_.ewma_alpha) * prev_ewma;

@@ -8,8 +8,8 @@
 // rollups (rate / min / max / sum / percentiles / EWMA) sampled on a
 // sim-clock cadence.  Counter windows diff monotonic totals (never raw
 // reads mid-run — see MetricsRegistry::snapshot for the same discipline at
-// bench scope); histogram windows diff bucket counts, so window quantiles
-// cost one pass over the buckets and zero allocation.
+// bench scope); histogram windows diff bucket counts and read quantiles off
+// the difference with Histogram's own rank walk, at zero allocation.
 //
 // On top of the windows sits a declarative SLO rules engine.  A rule states
 // a condition that must HOLD, in a one-line grammar (DESIGN.md §14):
@@ -66,8 +66,8 @@ enum class SeriesKind : std::uint8_t { kCounter, kGauge, kHistogram };
 ///   Histogram:  count = samples recorded this window, rate = count/dt,
 ///               sum = sample-sum delta, value = window mean,
 ///               min/max = bucket-edge bounds of the windowed samples,
-///               p50/p95/p99 = window quantiles from bucket-count deltas
-///               (same error bound as Histogram::quantile).
+///               p50/p95/p99 = Histogram::quantile over the bucket-count
+///               deltas (same rank walk and error bound).
 /// ewma smooths `value` across windows with AnalyticsOptions::ewma_alpha;
 /// a histogram window with no samples leaves the EWMA unchanged.
 struct Window {
@@ -187,8 +187,7 @@ class Analytics {
   // references stay valid for the Analytics lifetime.
   TimeSeries& track_counter(std::string_view name);
   TimeSeries& track_gauge(std::string_view name);
-  TimeSeries& track_histogram(std::string_view name,
-                              HistogramOptions hopt = {});
+  TimeSeries& track_histogram(std::string_view name);
 
   [[nodiscard]] const TimeSeries* find(std::string_view name) const;
   [[nodiscard]] std::size_t series_count() const noexcept {
@@ -247,7 +246,10 @@ class Analytics {
     const Histogram* hist = nullptr;
     std::uint64_t prev_count = 0;
     double prev_sum = 0;
-    std::vector<std::uint64_t> prev_buckets;  ///< hist only, preallocated
+    /// Hist only, preallocated: the bucket counts at the last window, and
+    /// this window's share of them.
+    std::vector<std::uint64_t> prev_buckets;
+    std::vector<std::uint64_t> window_buckets;
 
     Tracked(std::string name, SeriesKind kind, std::size_t cap)
         : series(std::move(name), kind, cap) {}

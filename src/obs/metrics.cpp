@@ -12,19 +12,12 @@ namespace cpe::obs {
 // ---------------------------------------------------------------------------
 // Histogram
 
-Histogram::Histogram(HistogramOptions opt) : opt_(opt) {
-  CPE_EXPECTS(opt_.first_bound > 0.0);
-  CPE_EXPECTS(opt_.growth > 1.0);
-  CPE_EXPECTS(opt_.buckets >= 2);
-  counts_.assign(static_cast<std::size_t>(opt_.buckets), 0);
-}
-
-int Histogram::bucket_for(double v) const {
-  if (v <= opt_.first_bound) return 0;
-  // Bucket index = ceil(log_growth(v / first_bound)), capped at overflow.
-  const double idx = std::ceil(std::log(v / opt_.first_bound) /
-                               std::log(opt_.growth) - 1e-12);
-  if (idx >= static_cast<double>(opt_.buckets - 1)) return opt_.buckets - 1;
+int Histogram::bucket_for(double v) {
+  if (v <= kFirstBound) return 0;
+  // Bucket index = ceil(log_kGrowth(v / kFirstBound)), capped at overflow.
+  const double idx =
+      std::ceil(std::log(v / kFirstBound) / std::log(kGrowth) - 1e-12);
+  if (idx >= static_cast<double>(kBuckets - 1)) return kBuckets - 1;
   return std::max(0, static_cast<int>(idx));
 }
 
@@ -41,23 +34,29 @@ void Histogram::record(double v) {
   max_ = std::max(max_, v);
 }
 
-double Histogram::bucket_bound(int i) const {
-  CPE_EXPECTS(i >= 0 && i < opt_.buckets);
-  if (i == opt_.buckets - 1) return std::numeric_limits<double>::infinity();
-  return opt_.first_bound * std::pow(opt_.growth, static_cast<double>(i));
+double Histogram::bucket_bound(int i) {
+  CPE_EXPECTS(i >= 0 && i < kBuckets);
+  if (i == kBuckets - 1) return std::numeric_limits<double>::infinity();
+  return kFirstBound * std::pow(kGrowth, static_cast<double>(i));
 }
 
 double Histogram::quantile(double q) const {
   CPE_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (count_ == 0) return 0.0;
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count_)));
+  return count_ == 0 ? 0.0 : quantile(counts_, count_, q);
+}
+
+double Histogram::quantile(std::span<const std::uint64_t> counts,
+                           std::uint64_t n, double q) const {
+  CPE_EXPECTS(q >= 0.0 && q <= 1.0);
+  CPE_EXPECTS(counts.size() == counts_.size() && n > 0);
+  const auto target =
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
   std::uint64_t cum = 0;
-  for (int i = 0; i < buckets(); ++i) {
-    cum += counts_[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    cum += counts[i];
     if (cum >= target && cum > 0) {
       // Clamp to the observed range so q=1 returns max, not a bucket edge.
-      return std::min(bucket_bound(i), max_);
+      return std::min(bucket_bound(static_cast<int>(i)), max_);
     }
   }
   return max_;
@@ -81,12 +80,10 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      HistogramOptions opt) {
+Histogram& MetricsRegistry::histogram(std::string_view name) {
   auto it = histograms_.find(name);
   if (it == histograms_.end())
-    it = histograms_
-             .emplace(std::string(name), std::make_unique<Histogram>(opt))
+    it = histograms_.emplace(std::string(name), std::make_unique<Histogram>())
              .first;
   return *it->second;
 }
@@ -161,7 +158,7 @@ void MetricsRegistry::write_jsonl(std::ostream& os) {
        << ",\"p90\":" << json_num(h->quantile(0.90))
        << ",\"p99\":" << json_num(h->quantile(0.99)) << ",\"buckets\":[";
     bool first = true;
-    for (int i = 0; i < h->buckets(); ++i) {
+    for (int i = 0; i < Histogram::kBuckets; ++i) {
       const std::uint64_t n = h->bucket_count(i);
       if (n == 0) continue;  // sparse export: empty buckets stay implicit
       if (!first) os << ',';

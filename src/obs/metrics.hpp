@@ -13,6 +13,7 @@
 // schedule events, so instrumentation cannot perturb a deterministic replay.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -20,6 +21,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,19 +75,17 @@ class Gauge {
   std::uint64_t bad_samples_ = 0;
 };
 
-/// Log-bucketed histogram geometry.  Bucket i covers
-/// (first_bound * growth^(i-1), first_bound * growth^i]; the final bucket is
-/// the overflow catch-all.  The defaults span 1 µs .. ~10^13 s — every
-/// duration and byte count the simulation can produce.
-struct HistogramOptions {
-  double first_bound = 1e-6;
-  double growth = 2.0;
-  int buckets = 64;
-};
-
+/// Log-bucketed distribution with one geometry for every histogram: bucket
+/// i covers (kFirstBound * kGrowth^(i-1), kFirstBound * kGrowth^i], bucket 0
+/// also takes every sample at or below kFirstBound, and the last bucket is
+/// the overflow catch-all.  The last finite edge, about 2.37e9, sits some
+/// 220x above the largest sample the simulation records (a 10.5 MB
+/// migration image; DESIGN.md §9 has the census).
 class Histogram {
  public:
-  explicit Histogram(HistogramOptions opt = {});
+  static constexpr double kFirstBound = 1e-5;  ///< 10 µs
+  static constexpr double kGrowth = 1.0905077326652577;  ///< 2^(1/8)
+  static constexpr int kBuckets = 384;
 
   /// Record one sample.  Negative samples are clamped to 0 (they can only
   /// arise from floating-point noise in a time subtraction); NaN/infinite
@@ -109,41 +109,41 @@ class Histogram {
   /// the cumulative count reaches rank ⌈q·count⌉, clamped to the observed
   /// max.
   ///
-  /// Worst-case error bound (pinned by MetricsTest.QuantileErrorBound):
-  /// with `exact` the rank-⌈q·count⌉ order statistic (empirical inverse
-  /// CDF, the same rank convention this walk uses),
+  /// Worst-case error bound (pinned by Histogram.QuantileErrorBound): with
+  /// `exact` the rank-⌈q·count⌉ order statistic (empirical inverse CDF, the
+  /// same rank convention this walk uses),
   ///
-  ///     exact <= quantile(q) < exact * growth     for exact >= first_bound
-  ///     0     <= quantile(q) <= first_bound       for exact <  first_bound
+  ///     exact <= quantile(q) < exact * kGrowth   for exact >= kFirstBound
+  ///     0     <= quantile(q) <= kFirstBound      for exact <  kFirstBound
   ///
   /// i.e. the estimate NEVER under-reports and over-reports by strictly
-  /// less than one bucket's growth factor (+100% at the default growth=2;
-  /// +9.05% at obs::TraceAnalytics' fine 2^(1/8) geometry), with absolute
-  /// error at most first_bound below the first bound.  Lower bound: the
+  /// less than one bucket's growth factor (+9.05%), with absolute error at
+  /// most kFirstBound below the first bound.  Lower bound: the
   /// rank-crossing bucket contains the exact sample, whose bucket upper
   /// bound is >= it, and the clamp to max() only engages when the bound
   /// exceeds the largest sample.  Upper bound: every sample in bucket i is
-  /// > bucket_bound(i)/growth, so bound < sample * growth.
+  /// > bucket_bound(i)/kGrowth, so bound < sample * kGrowth.
   [[nodiscard]] double quantile(double q) const;
 
+  /// The same rank walk over a subset of this histogram's samples, given
+  /// as per-bucket counts (kBuckets of them) that sum to n > 0 — a window's
+  /// samples are the bucket counts minus an earlier copy of them
+  /// (obs::Analytics).  The bound above holds against the subset's own
+  /// order statistic.
+  [[nodiscard]] double quantile(std::span<const std::uint64_t> counts,
+                                std::uint64_t n, double q) const;
+
   /// Upper bound of bucket i (infinity for the overflow bucket).
-  [[nodiscard]] double bucket_bound(int i) const;
+  [[nodiscard]] static double bucket_bound(int i);
   [[nodiscard]] std::uint64_t bucket_count(int i) const {
-    CPE_EXPECTS(i >= 0 && i < static_cast<int>(counts_.size()));
+    CPE_EXPECTS(i >= 0 && i < kBuckets);
     return counts_[static_cast<std::size_t>(i)];
-  }
-  [[nodiscard]] int buckets() const noexcept {
-    return static_cast<int>(counts_.size());
-  }
-  [[nodiscard]] const HistogramOptions& options() const noexcept {
-    return opt_;
   }
 
  private:
-  [[nodiscard]] int bucket_for(double v) const;
+  [[nodiscard]] static int bucket_for(double v);
 
-  HistogramOptions opt_;
-  std::vector<std::uint64_t> counts_;
+  std::array<std::uint64_t, kBuckets> counts_{};
   std::uint64_t count_ = 0;
   std::uint64_t bad_samples_ = 0;
   double sum_ = 0;
@@ -181,7 +181,7 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, HistogramOptions opt = {});
+  Histogram& histogram(std::string_view name);
 
   /// Lookup without creation (tests, exporters); nullptr when absent.
   [[nodiscard]] const Counter* find_counter(std::string_view name) const;

@@ -14,9 +14,7 @@ bool is_stage_child(const SpanRecord& s) {
 }  // namespace
 
 TraceAnalytics::TraceAnalytics(const std::vector<SpanRecord>& spans,
-                               MetricsRegistry* reg,
-                               HistogramOptions stage_geometry)
-    : geometry_(stage_geometry) {
+                               MetricsRegistry* reg) {
   analyse(spans, reg);
 }
 
@@ -84,10 +82,7 @@ void TraceAnalytics::analyse(const std::vector<SpanRecord>& spans,
     if (kids != children.end()) {
       for (const SpanRecord* c : kids->second) {
         if (!is_stage_child(*c)) continue;
-        auto it = stage_hist_.find(c->name);
-        if (it == stage_hist_.end())
-          it = stage_hist_.emplace(c->name, Histogram(geometry_)).first;
-        it->second.record(c->duration());
+        stage_hist_[c->name].record(c->duration());
         stage_total_[c->name] += c->duration();
       }
     }

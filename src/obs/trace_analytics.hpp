@@ -5,10 +5,8 @@
 // transfer / restart).  This pass turns that stream into the numbers the
 // paper's tables are made of: for each completed migration, which stage
 // DOMINATED it (the critical path), and across migrations, the per-stage
-// p50/p95/p99 — computed through fine-grained log-bucketed Histograms
-// (growth 2^(1/8), so quantile estimates land within +9.05% of exact; see
-// the error bound on Histogram::quantile) instead of the coarse factor-2
-// runtime buckets.
+// p50/p95/p99 — computed through Histograms, so quantile estimates land
+// within +9.05% of exact (see the error bound on Histogram::quantile).
 //
 // Incomplete traces — migrations that aborted, were fenced off by a stale
 // epoch, were killed by the admission watchdog, or whose root/stage spans
@@ -66,18 +64,11 @@ struct StageStats {
 
 class TraceAnalytics {
  public:
-  /// Fine bucket geometry for the offline stage histograms: growth 2^(1/8)
-  /// bounds the quantile over-estimate at +9.05%, and 320 buckets span
-  /// 10 µs .. ~10^7 s.
-  static constexpr HistogramOptions kFineGeometry{
-      /*first_bound=*/1e-5, /*growth=*/1.0905077326652577, /*buckets=*/320};
-
   /// Analyse a collected span set (bench_util::collect_spans output or a
   /// tracer's ring).  When `reg` is non-null, skipped traces are counted
   /// into `analytics.traces_skipped`.
   explicit TraceAnalytics(const std::vector<SpanRecord>& spans,
-                          MetricsRegistry* reg = nullptr,
-                          HistogramOptions stage_geometry = kFineGeometry);
+                          MetricsRegistry* reg = nullptr);
 
   [[nodiscard]] const std::vector<MigrationPath>& paths() const noexcept {
     return paths_;
@@ -93,15 +84,14 @@ class TraceAnalytics {
   [[nodiscard]] double coverage_min() const noexcept { return coverage_min_; }
   [[nodiscard]] double coverage_mean() const noexcept;
 
-  /// Name-sorted per-stage table (percentiles from the fine histograms).
+  /// Name-sorted per-stage table (percentiles from the stage histograms).
   [[nodiscard]] std::vector<StageStats> stage_table() const;
-  /// Fine histogram for one stage; nullptr when the stage never appeared.
+  /// Histogram for one stage; nullptr when the stage never appeared.
   [[nodiscard]] const Histogram* stage_histogram(std::string_view stage) const;
 
  private:
   void analyse(const std::vector<SpanRecord>& spans, MetricsRegistry* reg);
 
-  HistogramOptions geometry_;
   std::vector<MigrationPath> paths_;
   std::map<std::string, Histogram, std::less<>> stage_hist_;
   std::map<std::string, double, std::less<>> stage_total_;

@@ -47,27 +47,33 @@ TEST(Gauge, MaxWorksForAllNegativeValues) {
 }
 
 TEST(Histogram, BucketGeometryMatchesTheDocumentedRule) {
-  // Bucket i covers (first * growth^(i-1), first * growth^i], last = overflow.
-  Histogram h({.first_bound = 1.0, .growth = 2.0, .buckets = 4});
-  EXPECT_EQ(h.bucket_bound(0), 1.0);
-  EXPECT_EQ(h.bucket_bound(1), 2.0);
-  EXPECT_EQ(h.bucket_bound(2), 4.0);
-  EXPECT_TRUE(std::isinf(h.bucket_bound(3)));
+  // Bucket i covers (10 µs * 2^((i-1)/8), 10 µs * 2^(i/8)], last = overflow.
+  EXPECT_EQ(Histogram::bucket_bound(0), 1e-5);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_bound(1), 1e-5 * Histogram::kGrowth);
+  EXPECT_DOUBLE_EQ(Histogram::bucket_bound(8), 2e-5);  // eight steps double
+  EXPECT_NEAR(Histogram::bucket_bound(160), 1e-5 * 1048576.0, 1e-9);
+  // The last finite edge leaves ~200x headroom over the largest recorded
+  // sample, Table 2's 10.49 MB migration image.
+  EXPECT_NEAR(Histogram::bucket_bound(Histogram::kBuckets - 2), 2.3669e9,
+              1e5);
+  EXPECT_TRUE(std::isinf(Histogram::bucket_bound(Histogram::kBuckets - 1)));
 
-  h.record(0.5);    // bucket 0
-  h.record(1.0);    // bucket 0 (bound is inclusive)
-  h.record(1.001);  // bucket 1
-  h.record(2.0);    // bucket 1
-  h.record(3.0);    // bucket 2
-  h.record(100.0);  // overflow
+  Histogram h;
+  h.record(5e-6);     // bucket 0
+  h.record(1e-5);     // bucket 0 (bound is inclusive)
+  h.record(1.05e-5);  // bucket 1
+  h.record(1.5);      // bucket 138: (1.4294, 1.5587]
+  h.record(1e10);     // overflow
   EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 2u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.min(), 0.5);
-  EXPECT_EQ(h.max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 107.501);
+  EXPECT_EQ(h.bucket_count(1), 1u);
+  EXPECT_EQ(h.bucket_count(138), 1u);
+  EXPECT_LT(Histogram::bucket_bound(137), 1.5);
+  EXPECT_GT(Histogram::bucket_bound(138), 1.5);
+  EXPECT_EQ(h.bucket_count(Histogram::kBuckets - 1), 1u);
+  EXPECT_EQ(h.count(), 5u);
+  EXPECT_EQ(h.min(), 5e-6);
+  EXPECT_EQ(h.max(), 1e10);
+  EXPECT_DOUBLE_EQ(h.sum(), 1e10 + 1.5 + 2.55e-5);
 }
 
 TEST(Histogram, EmptyHistogramIsAllZeros) {
@@ -133,12 +139,13 @@ TEST(Registry, BadSamplesSurfaceAsACounter) {
 }
 
 TEST(Histogram, QuantilesLandWithinOneBucketAndClampToMax) {
-  Histogram h({.first_bound = 1.0, .growth = 2.0, .buckets = 16});
-  for (int i = 0; i < 90; ++i) h.record(1.5);  // bucket (1,2]
-  for (int i = 0; i < 10; ++i) h.record(50.0);  // bucket (32,64]
-  EXPECT_EQ(h.quantile(0.5), 2.0);   // p50 in the (1,2] bucket
-  EXPECT_EQ(h.quantile(0.9), 2.0);   // exactly at the cumulative edge
-  EXPECT_EQ(h.quantile(0.99), 50.0); // clamped to observed max, not 64
+  Histogram h;
+  for (int i = 0; i < 90; ++i) h.record(1.5);   // bucket 138
+  for (int i = 0; i < 10; ++i) h.record(50.0);  // bucket 179
+  const double edge = Histogram::bucket_bound(138);
+  EXPECT_EQ(h.quantile(0.5), edge);   // p50 in 1.5's bucket
+  EXPECT_EQ(h.quantile(0.9), edge);   // exactly at the cumulative edge
+  EXPECT_EQ(h.quantile(0.99), 50.0);  // clamped to observed max, not 54.4
   EXPECT_EQ(h.quantile(1.0), 50.0);
 }
 
@@ -180,10 +187,9 @@ TEST(Registry, JsonlExportIsSortedStrictAndSparse) {
   reg.counter("z.last").inc(3);
   reg.counter("a.first").inc(1);
   reg.gauge("g.depth").set(2.5);
-  Histogram& h = reg.histogram("h.lat", {.first_bound = 1.0, .growth = 2.0,
-                                         .buckets = 8});
+  Histogram& h = reg.histogram("h.lat");
   h.record(1.5);
-  h.record(100.0);  // overflow bucket -> "le":null
+  h.record(1e10);  // overflow bucket -> "le":null
   reg.histogram("h.empty");
 
   std::ostringstream os;
@@ -206,7 +212,8 @@ TEST(Registry, JsonlExportIsSortedStrictAndSparse) {
 
   // Sparse buckets: two samples -> exactly two bucket entries, the overflow
   // one exported as "le":null.
-  EXPECT_NE(out.find("\"buckets\":[{\"le\":2,\"n\":1},{\"le\":null,\"n\":1}]"),
+  EXPECT_NE(out.find("\"buckets\":[{\"le\":1.55871755,\"n\":1},"
+                     "{\"le\":null,\"n\":1}]"),
             std::string::npos);
   // Empty histogram exports count 0 (Table 2's mpvm.stage.* gates reject
   // a stage histogram left empty).
@@ -253,13 +260,12 @@ TEST(JsonEscape, ControlCharactersBecomeUnicodeEscapes) {
 // Pins the bound documented on Histogram::quantile: against the exact
 // rank-⌈qn⌉ order statistic, the estimate never under-reports and
 // over-reports by strictly less than one growth factor (for samples at or
-// above first_bound).  Checked on three distribution shapes and two bucket
-// geometries, with the deterministic sim::Rng.
+// above kFirstBound).  Checked on three distribution shapes with the
+// deterministic sim::Rng.
 
-void check_quantile_bound(const HistogramOptions& opt,
-                          const std::vector<double>& samples,
+void check_quantile_bound(const std::vector<double>& samples,
                           const char* label) {
-  Histogram h(opt);
+  Histogram h;
   for (const double v : samples) h.record(v);
   std::vector<double> sorted = samples;
   std::sort(sorted.begin(), sorted.end());
@@ -269,11 +275,11 @@ void check_quantile_bound(const HistogramOptions& opt,
         std::ceil(q * static_cast<double>(n)));
     const double exact = sorted[rank > 0 ? rank - 1 : 0];
     const double est = h.quantile(q);
-    if (exact >= opt.first_bound) {
+    if (exact >= Histogram::kFirstBound) {
       EXPECT_GE(est, exact) << label << " q=" << q;
-      EXPECT_LT(est, exact * opt.growth) << label << " q=" << q;
+      EXPECT_LT(est, exact * Histogram::kGrowth) << label << " q=" << q;
     } else {
-      EXPECT_LE(est, opt.first_bound) << label << " q=" << q;
+      EXPECT_LE(est, Histogram::kFirstBound) << label << " q=" << q;
     }
   }
 }
@@ -288,16 +294,9 @@ TEST(Histogram, QuantileErrorBound) {
     // Fast path vs slow path: the shape percentile gates exist for.
     bimodal.push_back(rng.uniform() < 0.9 ? 0.01 : 5.0);
   }
-  const HistogramOptions coarse;  // growth 2, the runtime default
-  // The TraceAnalytics offline geometry: growth 2^(1/8).
-  const HistogramOptions fine{/*first_bound=*/1e-5,
-                              /*growth=*/1.0905077326652577,
-                              /*buckets=*/320};
-  for (const HistogramOptions* opt : {&coarse, &fine}) {
-    check_quantile_bound(*opt, uniform, "uniform");
-    check_quantile_bound(*opt, expo, "exponential");
-    check_quantile_bound(*opt, bimodal, "bimodal");
-  }
+  check_quantile_bound(uniform, "uniform");
+  check_quantile_bound(expo, "exponential");
+  check_quantile_bound(bimodal, "bimodal");
 }
 
 // -- Snapshot diffing ---------------------------------------------------------

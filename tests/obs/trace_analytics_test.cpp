@@ -70,15 +70,15 @@ TEST(TraceAnalytics, StageTableQuantilesWithinFineGeometryBound) {
   }
   // Critical-path attribution is a partition of the migrations.
   EXPECT_EQ(dominant_sum, ta.migrations());
-  // All transfers took exactly 6 s: the fine-geometry estimate must sit
-  // within +9.05% of exact.
+  // All transfers took exactly 6 s: the estimate must sit within +9.05% of
+  // exact.
   const StageStats* transfer = nullptr;
   for (const StageStats& st : table)
     if (st.stage == "mpvm.transfer") transfer = &st;
   ASSERT_NE(transfer, nullptr);
   EXPECT_EQ(transfer->dominant, 8u);
   EXPECT_GE(transfer->p99, 6.0);
-  EXPECT_LE(transfer->p99, 6.0 * TraceAnalytics::kFineGeometry.growth);
+  EXPECT_LE(transfer->p99, 6.0 * Histogram::kGrowth);
 }
 
 TEST(TraceAnalytics, AbortedRootIsSkippedAndCounted) {
