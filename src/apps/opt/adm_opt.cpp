@@ -1,6 +1,5 @@
 #include "apps/opt/adm_opt.hpp"
 
-#include "pvm/body_pool.hpp"
 #include "obs/metrics.hpp"
 
 namespace cpe::opt {
@@ -328,7 +327,7 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
     events.emplace_back(adm::AdmEvent::decode(*m.body), eng.now());
     t.mailbox().push(
         pvm::Message(m.src, t.tid(), kTagEventNotify,
-                     pvm::make_body()));
+                     std::make_shared<const pvm::Buffer>()));
   });
 
   // Initial slice.

@@ -449,7 +449,6 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
       // A single dropped datagram must not cost the whole migration: re-send
       // the flush to the peers still missing and grant one more ack window
       // before charging the stage deadline for real.
-      ++flush_retries_;
       vm_->metrics().counter("mpvm.flush.retries").inc();
       const obs::SpanId rt = sp.event(sp.context_of(stage), "mpvm.flush.retry",
                                       src.name(), victim.raw());

@@ -213,12 +213,6 @@ class Mpvm {
     return history_;
   }
 
-  /// Times the flush stage re-sent its flush round after a lost ack instead
-  /// of rolling the migration back immediately.
-  [[nodiscard]] std::uint64_t flush_retries() const noexcept {
-    return flush_retries_;
-  }
-
   // -- Failure handling ------------------------------------------------------
   void set_timeouts(MpvmTimeouts t) noexcept { timeouts_ = t; }
   [[nodiscard]] const MpvmTimeouts& timeouts() const noexcept {
@@ -330,7 +324,6 @@ class Mpvm {
   std::vector<StageObserver> stage_observers_;
   SkeletonSpawnHook skeleton_spawn_hook_;
   std::shared_ptr<pvm::MigrationFence> fence_;
-  std::uint64_t flush_retries_ = 0;
   std::int32_t flush_seq_ = 0;  ///< stamps each migration's flush round
 };
 

@@ -42,12 +42,9 @@ const std::string* SpanRecord::attr(std::string_view key) const {
 
 void SpanTracer::push(SpanRecord rec) {
   while (spans_.size() >= capacity_) {
-    index_.erase(spans_.front().span_id);
     spans_.pop_front();
-    ++base_seq_;
     ++dropped_;
   }
-  index_.emplace(rec.span_id, base_seq_ + spans_.size());
   spans_.push_back(std::move(rec));
 }
 
@@ -118,15 +115,14 @@ std::uint64_t SpanTracer::clock(std::string_view host) const {
 }
 
 SpanRecord* SpanTracer::find_mut(SpanId span) {
-  const auto it = index_.find(span);
-  if (it == index_.end()) return nullptr;
-  return &spans_[static_cast<std::size_t>(it->second - base_seq_)];
+  return const_cast<SpanRecord*>(std::as_const(*this).find(span));
 }
 
 const SpanRecord* SpanTracer::find(SpanId span) const {
-  const auto it = index_.find(span);
-  if (it == index_.end()) return nullptr;
-  return &spans_[static_cast<std::size_t>(it->second - base_seq_)];
+  if (spans_.empty() || span < spans_.front().span_id) return nullptr;
+  const SpanId pos = span - spans_.front().span_id;
+  if (pos >= spans_.size()) return nullptr;
+  return &spans_[static_cast<std::size_t>(pos)];
 }
 
 const SpanRecord* SpanTracer::find_named(std::string_view name) const {
@@ -145,17 +141,13 @@ std::vector<const SpanRecord*> SpanTracer::by_trace(TraceId trace) const {
 void SpanTracer::set_capacity(std::size_t cap) {
   capacity_ = std::max<std::size_t>(cap, 2);
   while (spans_.size() > capacity_) {
-    index_.erase(spans_.front().span_id);
     spans_.pop_front();
-    ++base_seq_;
     ++dropped_;
   }
 }
 
 void SpanTracer::clear() {
-  base_seq_ += spans_.size();
   spans_.clear();
-  index_.clear();
   dropped_ = 0;
 }
 

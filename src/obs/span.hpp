@@ -158,10 +158,10 @@ class SpanTracer {
   void push(SpanRecord rec);
 
   const sim::Engine* eng_;
+  /// Every span is pushed as its id is minted and the ring drops only from
+  /// the front, so the ids held are consecutive: a span sits at
+  /// `id - spans_.front().span_id`.
   std::deque<SpanRecord> spans_;
-  /// span id -> absolute sequence number; position = seq - base_seq_.
-  std::map<SpanId, std::uint64_t> index_;
-  std::uint64_t base_seq_ = 0;
   std::size_t capacity_ = kDefaultCapacity;
   std::uint64_t dropped_ = 0;
   TraceId next_trace_id_ = 1;

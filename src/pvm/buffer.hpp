@@ -40,7 +40,7 @@ class Buffer {
   /// Every packed item travels with a header: a 4-byte type tag word plus a
   /// 4-byte element-count word (XDR strings' length word is that same count
   /// word).  Charged uniformly by every pack path so `bytes()` — and
-  /// therefore System::bytes_routed() — matches real wire traffic.  The
+  /// therefore the pvm.bytes_routed counter — matches real wire traffic.  The
   /// calib cost model's msg_header_bytes covers the per-*message* envelope
   /// only; per-item headers are accounted here.
   static constexpr std::size_t kItemHeaderBytes = 8;

@@ -1,6 +1,5 @@
 #include "pvm/system.hpp"
 
-#include "pvm/body_pool.hpp"
 #include <algorithm>
 
 namespace cpe::pvm {
@@ -261,15 +260,15 @@ PvmSystem::PvmSystem(sim::Engine& eng, net::Network& net,
     Buffer garbled(*m->body);
     garbled.corrupt_bit(static_cast<std::size_t>(corrupt_rng_.below(
         static_cast<std::uint64_t>(garbled.bytes()) * 8)));
-    m->body = make_body(std::move(garbled));
+    m->body = std::make_shared<const Buffer>(std::move(garbled));
     if (!wire_checksums_) return false;  // undefended: garbage flows on
     return m->crc == 0 || m->body->crc32() != m->crc;
   });
 }
 
 PvmSystem::~PvmSystem() {
-  for (auto& [raw, task] : by_logical_)
-    if (!task->exited()) task->process().kill();
+  for (Task* t : registry_)
+    if (!t->exited()) t->process().kill();
 }
 
 Pvmd& PvmSystem::add_host(os::Host& host) {
@@ -284,9 +283,10 @@ Pvmd& PvmSystem::add_host(os::Host& host) {
 
 void PvmSystem::handle_host_crash(os::Host& host) {
   // Collect first: firing exit watches delivers messages and may re-enter.
+  // registry_ is in logical-tid order, so the watches fire in that order.
   std::vector<Task*> lost;
-  for (const auto& [raw, t] : by_logical_) {
-    if (!t->exited() && &t->pvmd().host() == &host) lost.push_back(t.get());
+  for (Task* t : registry_) {
+    if (!t->exited() && &t->pvmd().host() == &host) lost.push_back(t);
   }
   for (Task* t : lost) {
     if (t->process().alive()) {
@@ -409,8 +409,6 @@ bool PvmSystem::is_local(const Task& from, Tid dst) const {
 }
 
 void PvmSystem::route(Task& from, Message m) {
-  ++messages_routed_;
-  bytes_routed_ += m.payload_bytes();
   msgs_routed_ctr_->inc();
   bytes_routed_ctr_->inc(m.payload_bytes());
   // Correspondent tracking (MPVM scoped flush): an application message makes
@@ -480,7 +478,7 @@ void PvmSystem::notify_exit(Tid observer, Tid observed, int tag) {
     b.pk_int(observed.raw());
     b.pk_int(0);
     Message m(observed, observer, tag,
-              make_body(std::move(b)));
+              std::make_shared<const Buffer>(std::move(b)));
     watcher->pvmd().deliver_local(std::move(m), 0);
     return;
   }
@@ -502,7 +500,7 @@ void PvmSystem::fire_exit_watches(Task& t, bool crashed) {
     b.pk_int(w.observed);
     b.pk_int(crashed ? 1 : 0);
     Message m(t.tid(), watcher->tid(), w.tag,
-              make_body(std::move(b)));
+              std::make_shared<const Buffer>(std::move(b)));
     watcher->pvmd().deliver_local(std::move(m), 0);
   }
 }

@@ -9,8 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/flat_map.hpp"
-
 #include "calib/costs.hpp"
 #include "net/tcp.hpp"
 #include "obs/metrics.hpp"
@@ -118,7 +116,7 @@ class Pvmd {
   net::NodeId node_ = 0;  ///< cached: valid even after the Host is destroyed
   std::uint32_t index_;
   std::uint32_t next_task_num_ = 1;
-  util::FlatMap<std::int32_t, Task*> local_;
+  std::unordered_map<std::int32_t, Task*> local_;
   sim::Channel<Outgoing> outgoing_;
   sim::Channel<Inbound> inbound_;
   sim::ProcHandle pump_proc_;
@@ -318,14 +316,6 @@ class PvmSystem {
     return live_tasks_;
   }
 
-  // -- Stats ----------------------------------------------------------------
-  [[nodiscard]] std::uint64_t messages_routed() const noexcept {
-    return messages_routed_;
-  }
-  [[nodiscard]] std::uint64_t bytes_routed() const noexcept {
-    return bytes_routed_;
-  }
-
  private:
   friend class Pvmd;
   friend class Task;
@@ -357,13 +347,11 @@ class PvmSystem {
   GroupServer groups_;
   std::vector<std::unique_ptr<Pvmd>> daemons_;
   std::unordered_map<std::string, TaskMain> programs_;
-  // Flat open-addressing registries (util::FlatMap): looked up per routed
-  // message.  Iteration order is unspecified; registry_ holds the order.
-  util::FlatMap<std::int32_t, std::unique_ptr<Task>> by_logical_;
+  std::unordered_map<std::int32_t, std::unique_ptr<Task>> by_logical_;
   std::vector<Task*> registry_;  ///< every task, by logical tid
-  util::FlatMap<std::int32_t, std::int32_t> current_to_logical_;
-  util::FlatMap<std::int32_t, std::int32_t> forward_;
-  util::FlatMap<std::int32_t, std::uint64_t> reloc_epoch_;
+  std::unordered_map<std::int32_t, std::int32_t> current_to_logical_;
+  std::unordered_map<std::int32_t, std::int32_t> forward_;
+  std::unordered_map<std::int32_t, std::uint64_t> reloc_epoch_;
   std::unique_ptr<LibraryShim> shim_;
   std::function<void(Task&)> task_observer_;
   ForwardObserver forward_observer_;
@@ -376,8 +364,6 @@ class PvmSystem {
   };
   std::vector<ExitWatch> exit_watches_;
   sim::Trigger all_exited_;
-  std::uint64_t messages_routed_ = 0;
-  std::uint64_t bytes_routed_ = 0;
 };
 
 }  // namespace cpe::pvm

@@ -1,6 +1,5 @@
 #include "pvm/task.hpp"
 
-#include "pvm/body_pool.hpp"
 #include "pvm/system.hpp"
 
 namespace cpe::pvm {
@@ -47,7 +46,7 @@ sim::Co<void> Task::send(Tid dst, int tag) {
 
   // The buffer leaves the application now; a fresh one replaces it so the
   // program can immediately repack (pvm semantics).
-  auto body = make_body(std::move(*sbuf_));
+  auto body = std::make_shared<const Buffer>(std::move(*sbuf_));
   sbuf_ = std::make_unique<Buffer>(body->encoding());
 
   sim::Time cpu = c.call_overhead + c.send_fixed +
@@ -77,7 +76,7 @@ sim::Co<void> Task::send(Tid dst, int tag) {
 sim::Co<void> Task::mcast(std::span<const Tid> dsts, int tag) {
   CPE_EXPECTS(sbuf_ != nullptr);
   const auto& c = sys_->costs().pvm;
-  auto body = make_body(std::move(*sbuf_));
+  auto body = std::make_shared<const Buffer>(std::move(*sbuf_));
   sbuf_ = std::make_unique<Buffer>(body->encoding());
 
   // Pack once; per-destination fixed cost (plus the sender-side socket
@@ -243,8 +242,7 @@ sim::Co<void> Task::gbcast(const std::string& group, int tag) {
 
 void Task::runtime_send(Tid dst, int tag, Buffer body) {
   CPE_EXPECTS(dst.valid());
-  Message m(logical_, dst, tag,
-            make_body(std::move(body)),
+  Message m(logical_, dst, tag, std::make_shared<const Buffer>(std::move(body)),
             ++next_seq_[dst.raw()]);
   sys_->route(*this, std::move(m));
 }
@@ -253,7 +251,7 @@ void Task::runtime_send_ex(Tid dst, int tag,
                            std::shared_ptr<const Buffer> body, std::any aux,
                            std::size_t extra_bytes) {
   CPE_EXPECTS(dst.valid());
-  if (!body) body = make_body();
+  if (!body) body = std::make_shared<const Buffer>();
   Message m(logical_, dst, tag, std::move(body), ++next_seq_[dst.raw()]);
   m.aux = std::move(aux);
   m.extra_bytes = extra_bytes;
@@ -359,8 +357,8 @@ void Task::accept(Message m) {
   }
   if (seq == w.next) {
     ++w.next;
-    release(std::move(m));  // may rehash inbox_: w is dead past this point
-    drain_ready(src_raw);
+    release(std::move(m));
+    drain_ready(src_raw, w);
     return;
   }
   // Early frame: park it until the gap fills or the gap timer gives up on
@@ -378,51 +376,41 @@ void Task::accept(Message m) {
     // triggered by memory pressure instead of the clock.  The missing
     // frames, should they straggle in later, are dropped as replays.
     sys_->seq_window_evicted_ctr_->inc();
-    skip_gap(src_raw);
+    skip_gap(src_raw, w);
     return;
   }
-  if (w.gap_deadline == 0) arm_gap_timer(src_raw);
+  if (w.gap_deadline == 0) arm_gap_timer(src_raw, w);
 }
 
-void Task::skip_gap(std::int32_t src_raw) {
-  auto it = inbox_.find(src_raw);
-  if (it == inbox_.end() || it->second.pending.empty()) return;
-  SeqWindow& w = it->second;
+void Task::skip_gap(std::int32_t src_raw, SeqWindow& w) {
+  if (w.pending.empty()) return;
   sys_->seq_gaps_ctr_->inc();
   w.next = w.pending.begin()->first;
   w.gap_deadline = 0;
-  drain_ready(src_raw);
+  drain_ready(src_raw, w);
 }
 
-void Task::drain_ready(std::int32_t src_raw) {
-  while (true) {
-    auto it = inbox_.find(src_raw);
-    if (it == inbox_.end()) return;
-    SeqWindow& w = it->second;
-    auto p = w.pending.find(w.next);
-    if (p == w.pending.end()) {
-      if (w.pending.empty())
-        w.gap_deadline = 0;
-      else if (w.gap_deadline == 0)
-        arm_gap_timer(src_raw);
-      return;
-    }
+void Task::drain_ready(std::int32_t src_raw, SeqWindow& w) {
+  for (auto p = w.pending.find(w.next); p != w.pending.end();
+       p = w.pending.find(w.next)) {
     Message m = std::move(p->second);
     w.pending.erase(p);
     ++w.next;
     release(std::move(m));
   }
+  if (w.pending.empty())
+    w.gap_deadline = 0;
+  else if (w.gap_deadline == 0)
+    arm_gap_timer(src_raw, w);
 }
 
-void Task::arm_gap_timer(std::int32_t src_raw) {
-  auto it = inbox_.find(src_raw);
-  if (it == inbox_.end()) return;
-  it->second.gap_deadline = sys_->engine().now() + sys_->reorder_gap_timeout();
+void Task::arm_gap_timer(std::int32_t src_raw, SeqWindow& w) {
+  w.gap_deadline = sys_->engine().now() + sys_->reorder_gap_timeout();
   // Look the task up again at fire time: it may have exited (the Task
   // object lives until VM teardown, so the pointer held via the system map
   // stays valid or lookups return null).
   sys_->engine().schedule_at(
-      it->second.gap_deadline, [sys = sys_, me = logical_, src_raw] {
+      w.gap_deadline, [sys = sys_, me = logical_, src_raw] {
         Task* t = sys->find_logical(me);
         if (t == nullptr || t->exited()) return;
         t->on_gap_timeout(src_raw);
@@ -442,7 +430,7 @@ void Task::on_gap_timeout(std::int32_t src_raw) {
   // The gap never filled: the missing frames were dropped for good by the
   // sending daemon (peer unreachable past the retry budget).  Skip ahead to
   // the oldest held frame rather than stalling this pair forever.
-  skip_gap(src_raw);
+  skip_gap(src_raw, w);
 }
 
 void Task::direct_send(Message m) {

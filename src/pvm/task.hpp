@@ -15,13 +15,14 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/tcp.hpp"
 #include "os/host.hpp"
 #include "sim/channel.hpp"
 #include "pvm/message.hpp"
-#include "util/flat_map.hpp"
 
 namespace cpe::pvm {
 
@@ -187,7 +188,8 @@ class Task {
   void note_peer(Tid logical) {
     if (logical != logical_) peers_.insert(logical.raw());
   }
-  [[nodiscard]] const util::FlatSet<std::int32_t>& peers() const noexcept {
+  [[nodiscard]] const std::unordered_set<std::int32_t>& peers()
+      const noexcept {
     return peers_;
   }
 
@@ -250,16 +252,14 @@ class Task {
   /// Deliver a frame for real: trace the delivery, run control handlers,
   /// else push to the mailbox.
   void release(Message m);
-  /// Release consecutive frames now available in `src_raw`'s window and
-  /// manage its gap timer.  Re-looks the window up every iteration: a
-  /// control handler running inside release() can deliver further messages
-  /// and rehash inbox_.
-  void drain_ready(std::int32_t src_raw);
-  void arm_gap_timer(std::int32_t src_raw);
+  /// Release consecutive frames now available in `src_raw`'s window `w`
+  /// and manage its gap timer.
+  void drain_ready(std::int32_t src_raw, SeqWindow& w);
+  void arm_gap_timer(std::int32_t src_raw, SeqWindow& w);
   void on_gap_timeout(std::int32_t src_raw);
-  /// Give up on the gap in `src_raw`'s window now: advance `next` to the
-  /// oldest held frame and drain (gap timeout and window-cap eviction).
-  void skip_gap(std::int32_t src_raw);
+  /// Give up on the gap in `src_raw`'s window `w` now: advance `next` to
+  /// the oldest held frame and drain (gap timeout and window-cap eviction).
+  void skip_gap(std::int32_t src_raw, SeqWindow& w);
 
   PvmSystem* sys_;
   Pvmd* pvmd_;
@@ -276,18 +276,15 @@ class Task {
   std::unique_ptr<Buffer> sbuf_;
   std::unique_ptr<Buffer> rbuf_;
   bool direct_route_ = false;
-  // Flat open-addressing maps (util::FlatMap): these are the per-send /
-  // per-delivery tid and sequence lookups, the hottest tables in the VM.
-  // No reference stability across rehash — accept()/drain_ready() re-look
-  // windows up after anything that may insert.
-  util::FlatMap<std::int32_t, std::unique_ptr<DirectLink>> links_;
-  util::FlatMap<std::int32_t, std::unique_ptr<sim::Gate>> gates_;
+  std::unordered_map<std::int32_t, std::unique_ptr<DirectLink>> links_;
+  std::unordered_map<std::int32_t, std::unique_ptr<sim::Gate>> gates_;
   std::vector<std::pair<int, std::function<void(Message)>>> control_;
-  util::FlatMap<std::int32_t, std::int32_t> tid_map_;
-  util::FlatMap<std::int32_t, std::uint64_t> map_epoch_;
-  util::FlatSet<std::int32_t> peers_;
-  util::FlatMap<std::int32_t, std::uint64_t> next_seq_;
-  util::FlatMap<std::int32_t, SeqWindow> inbox_;
+  std::unordered_map<std::int32_t, std::int32_t> tid_map_;
+  std::unordered_map<std::int32_t, std::uint64_t> map_epoch_;
+  std::unordered_set<std::int32_t> peers_;
+  std::unordered_map<std::int32_t, std::uint64_t> next_seq_;
+  /// Never erased from, so a window held across release() stays valid.
+  std::unordered_map<std::int32_t, SeqWindow> inbox_;
 };
 
 }  // namespace cpe::pvm

@@ -1,6 +1,5 @@
 #include "upvm/upvm.hpp"
 
-#include "pvm/body_pool.hpp"
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -63,7 +62,7 @@ pvm::Buffer& Ulp::rbuf() {
 
 sim::Co<void> Ulp::send(int dst_inst, int tag) {
   CPE_EXPECTS(sbuf_ != nullptr);
-  auto body = pvm::make_body(std::move(*sbuf_));
+  auto body = std::make_shared<const pvm::Buffer>(std::move(*sbuf_));
   sbuf_ = std::make_unique<pvm::Buffer>(body->encoding());
   co_await runnable_gate_.wait();
   co_await sys_->route_ulp(*this, dst_inst, tag, std::move(body),

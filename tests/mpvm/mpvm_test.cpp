@@ -453,7 +453,10 @@ TEST_F(MpvmTest, LostFlushAckIsRetriedOnceBeforeCharging) {
   run_all();
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->ok);  // the retry saved the migration
-  EXPECT_EQ(mpvm.flush_retries(), 1u);
+  const obs::Counter* retries =
+      vm.metrics().find_counter("mpvm.flush.retries");
+  ASSERT_NE(retries, nullptr);
+  EXPECT_EQ(retries->value(), 1u);
   const obs::SpanRecord* retry = vm.spans().find_named("mpvm.flush.retry");
   ASSERT_NE(retry, nullptr);
   EXPECT_EQ(*retry->attr("acks"), "0/1");

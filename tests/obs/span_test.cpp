@@ -106,6 +106,32 @@ TEST_F(SpanTracerTest, RingEvictsOldestAndCountsDropped) {
   tr.end_span(ids[0], SpanStatus::kOk);
 }
 
+TEST_F(SpanTracerTest, ClearForgetsOldIdsAndFindsNewSpans) {
+  const SpanId old = tr.begin_span({}, "old", "h");
+  tr.clear();
+  EXPECT_EQ(tr.find(old), nullptr);  // empty ring
+  const SpanId fresh = tr.begin_span({}, "fresh", "h");
+  EXPECT_NE(fresh, old);  // ids keep counting across a clear
+  const SpanRecord* r = tr.find(fresh);
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->name, "fresh");
+  EXPECT_EQ(tr.find(old), nullptr);  // older than the ring's oldest span
+}
+
+TEST_F(SpanTracerTest, IdZeroAndIdsPastTheNewestFindNothing) {
+  EXPECT_EQ(tr.find(0), nullptr);  // empty ring
+  EXPECT_EQ(tr.find(1), nullptr);
+  const SpanId a = tr.begin_span({}, "a", "h");
+  const SpanId b = tr.begin_span({}, "b", "h");
+  EXPECT_EQ(tr.find(0), nullptr);  // 0 is never minted
+  EXPECT_EQ(tr.find(b + 1), nullptr);
+  EXPECT_EQ(tr.find(b + 1000), nullptr);
+  ASSERT_NE(tr.find(a), nullptr);
+  ASSERT_NE(tr.find(b), nullptr);
+  EXPECT_EQ(tr.find(a)->name, "a");
+  EXPECT_EQ(tr.find(b)->name, "b");
+}
+
 TEST_F(SpanTracerTest, SetCapacityHasDocumentedFloor) {
   tr.set_capacity(0);
   EXPECT_GE(tr.capacity(), 2u);

@@ -163,6 +163,35 @@ TEST_F(LifecycleTest, GsCanUseNotifyToDetectTaskDeath) {
   EXPECT_EQ(respawned, 2);
 }
 
+TEST_F(LifecycleTest, CrashFalloutNotifiesInTidOrder) {
+  // A host crash fires the exit watch of every task it took down, in
+  // logical-tid order: what a watcher hears must not depend on how the
+  // task tables happen to be laid out.
+  std::vector<std::string> heard;
+  vm.register_program("worker", [](Task& t) -> sim::Co<void> {
+    co_await t.compute(100.0);
+  });
+  vm.register_program("watcher", [&](Task& t) -> sim::Co<void> {
+    const std::vector<Tid> kids = co_await t.spawn("worker", 8, "host2");
+    for (Tid k : kids) vm.notify_exit(t.tid(), k, 42);
+    for (std::size_t i = 0; i < kids.size(); ++i) {
+      co_await t.recv(kAny, 42);
+      heard.push_back(Tid(t.rbuf().upk_int()).str());
+      EXPECT_EQ(t.rbuf().upk_int(), 1);  // lost in a crash
+    }
+  });
+  auto driver = [&]() -> sim::Proc {
+    co_await vm.spawn("watcher", 1, "host1");
+    co_await sim::Delay(eng, 30.0);
+    host2.crash();
+  };
+  sim::spawn(eng, driver());
+  run_all();
+  std::vector<std::string> want;
+  for (std::uint32_t n = 1; n <= 8; ++n) want.push_back(Tid::make(1, n).str());
+  EXPECT_EQ(heard, want);
+}
+
 }  // namespace
 }  // namespace cpe::pvm
 
