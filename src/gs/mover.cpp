@@ -1,5 +1,7 @@
 #include "gs/mover.hpp"
 
+#include <algorithm>
+
 namespace cpe::gs {
 namespace {
 
@@ -27,9 +29,22 @@ class MpvmMover final : public Mover {
   bool owns(std::int64_t unit) const override {
     return unit >= 0 && unit < kUlpBase;
   }
-  void for_each_unit(const Visitor& visit) const override {
-    for (pvm::Task* t : m_->vm().all_tasks())
-      if (!t->exited()) visit(task_unit(t->tid()), t->pvmd().host());
+  // A task sits in its daemon's table from spawn to exit, and a migration
+  // moves it between tables in one step, so the table of `host`'s daemon
+  // holds exactly its live tasks.
+  std::vector<std::int64_t> units_on(const os::Host& host) const override {
+    std::vector<std::int64_t> out;
+    if (const pvm::Pvmd* d = m_->vm().daemon_on(host)) {
+      out.reserve(d->local_task_count());
+      for (const auto& [current, t] : d->local_tasks())
+        out.push_back(task_unit(t->tid()));
+      std::sort(out.begin(), out.end());  // the registry's order
+    }
+    return out;
+  }
+  std::size_t count_on(const os::Host& host) const override {
+    const pvm::Pvmd* d = m_->vm().daemon_on(host);
+    return d == nullptr ? 0 : d->local_task_count();
   }
   os::Host* host_of(std::int64_t unit) const override {
     const pvm::Task* t = m_->vm().find_logical(tid(unit));
@@ -72,11 +87,17 @@ class UpvmMover final : public Mover {
   bool owns(std::int64_t unit) const override {
     return unit >= kUlpBase && unit < 2 * kUlpBase;
   }
-  void for_each_unit(const Visitor& visit) const override {
-    for (int i = 0; i < u_->nulps(); ++i) {
-      const upvm::Ulp* u = u_->ulp(i);
-      if (u != nullptr && !u->done()) visit(kUlpBase + i, u->host());
-    }
+  std::vector<std::int64_t> units_on(const os::Host& host) const override {
+    std::vector<std::int64_t> out;
+    for (int i = 0; i < u_->nulps(); ++i)
+      if (lives_on(i, host)) out.push_back(kUlpBase + i);
+    return out;
+  }
+  std::size_t count_on(const os::Host& host) const override {
+    std::size_t n = 0;
+    for (int i = 0; i < u_->nulps(); ++i)
+      if (lives_on(i, host)) ++n;
+    return n;
   }
   os::Host* host_of(std::int64_t unit) const override {
     const upvm::Ulp* u = u_->ulp(inst(unit));
@@ -101,18 +122,14 @@ class UpvmMover final : public Mover {
   static int inst(std::int64_t unit) {
     return static_cast<int>(unit - kUlpBase);
   }
+  bool lives_on(int i, const os::Host& host) const {
+    const upvm::Ulp* u = u_->ulp(i);
+    return u != nullptr && !u->done() && &u->host() == &host;
+  }
   upvm::Upvm* u_;
 };
 
 }  // namespace
-
-std::vector<std::int64_t> Mover::units_on(const os::Host& host) const {
-  std::vector<std::int64_t> out;
-  for_each_unit([&](std::int64_t unit, os::Host& h) {
-    if (&h == &host) out.push_back(unit);
-  });
-  return out;
-}
 
 std::unique_ptr<Mover> make_mover(mpvm::Mpvm& m) {
   return std::make_unique<MpvmMover>(m);

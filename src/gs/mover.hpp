@@ -7,8 +7,8 @@
 // ULP instance).  ADM slaves, posted to directly, take 2^41 + slave.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,7 +35,6 @@ class Mover {
     const char* key = "";
     std::string value;
   };
-  using Visitor = std::function<void(std::int64_t unit, os::Host& host)>;
 
   Mover() = default;
   Mover(const Mover&) = delete;
@@ -44,9 +43,11 @@ class Mover {
 
   /// True when `unit` lies in this system's id range.
   [[nodiscard]] virtual bool owns(std::int64_t unit) const = 0;
-  /// Visit every live unit with its host, in the system's order (tids, ULP
-  /// instances).
-  virtual void for_each_unit(const Visitor& visit) const = 0;
+  /// The live units on `host`, in the system's order (tids, ULP instances).
+  [[nodiscard]] virtual std::vector<std::int64_t> units_on(
+      const os::Host& host) const = 0;
+  /// How many live units sit on `host`.
+  [[nodiscard]] virtual std::size_t count_on(const os::Host& host) const = 0;
   /// Where `unit` lives now; nullptr once it exited or finished.
   [[nodiscard]] virtual os::Host* host_of(std::int64_t unit) const = 0;
   [[nodiscard]] virtual bool migrating(std::int64_t unit) const = 0;
@@ -66,9 +67,6 @@ class Mover {
   virtual bool abort(std::int64_t /*unit*/, const std::string& /*reason*/) {
     return false;
   }
-
-  /// The live units on `host`, in the system's order.
-  [[nodiscard]] std::vector<std::int64_t> units_on(const os::Host& host) const;
 };
 
 [[nodiscard]] std::unique_ptr<Mover> make_mover(mpvm::Mpvm& m);

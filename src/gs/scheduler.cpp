@@ -476,17 +476,14 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
   views.reserve(vm_->daemons().size());
   const sim::Time now = vm_->engine().now();
 
-  // Movable units per host, one pass per system: MPVM tasks, ULPs, ADM
-  // slaves that currently live there.  (The legacy Threshold policy ignores
-  // this; the index policies use it to avoid aiming at hosts with nothing to
-  // shed.)
-  std::unordered_map<const os::Host*, int> movable;
-  for (const std::unique_ptr<Mover>& m : movers_)
-    if (m != nullptr)
-      m->for_each_unit([&](std::int64_t, os::Host& h) { ++movable[&h]; });
+  // Movable units per host: the MPVM tasks and ULPs each mover counts on
+  // the host, plus the ADM slaves that currently live there.  (The legacy
+  // Threshold policy ignores this; the index policies use it to avoid
+  // aiming at hosts with nothing to shed.)
+  std::unordered_map<const os::Host*, int> slaves;
   if (adm_ != nullptr) {
     for (int s = 0; s < adm_->slaves_spawned(); ++s)
-      if (os::Host* h = adm_host(s)) ++movable[h];
+      if (os::Host* h = adm_host(s)) ++slaves[h];
   }
 
   for (const auto& d : vm_->daemons()) {
@@ -524,9 +521,12 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
         if (now - t0 < policy_.staleness_bound) index += delta;
       index = std::max(index, 0.0);
     }
-    const auto mv = movable.find(&h);
-    views.emplace_back(&h, instant, dest_rank, index, age,
-                       mv == movable.end() ? 0 : mv->second, h.up(),
+    int movable = 0;
+    for (const std::unique_ptr<Mover>& m : movers_)
+      if (m != nullptr) movable += static_cast<int>(m->count_on(h));
+    if (const auto sl = slaves.find(&h); sl != slaves.end())
+      movable += sl->second;
+    views.emplace_back(&h, instant, dest_rank, index, age, movable, h.up(),
                        !is_blacklisted(h));
     // Queueing pressure from the service layer (0 without a source: batch
     // decisions stay bit-identical).

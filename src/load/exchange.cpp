@@ -21,6 +21,7 @@ LoadExchange::Agent::Agent(os::Host* host_, std::uint32_t id_,
       sensor(std::move(sensor_)),
       samples(hosts),
       stamps(hosts, kAbsent),
+      last_round(kAbsent),
       rng(rng_) {}
 
 LoadExchange::LoadExchange(pvm::PvmSystem& vm, ExchangePolicy policy)
@@ -58,6 +59,7 @@ LoadExchange::LoadExchange(pvm::PvmSystem& vm, ExchangePolicy policy)
         &h, id, std::make_unique<LoadSensor>(h, vm.metrics(), policy.sensor),
         n, rng_.split()));
     Agent* agent = agents_.back().get();
+    agent->top.reserve(std::min(policy.vector_cap - 1, n));
     dg.bind(h.node(), kLoadPort, [this, agent](net::Datagram d_in) {
       const auto* gossip =
           std::any_cast<std::shared_ptr<const LoadGossip>>(&d_in.payload);
@@ -93,6 +95,21 @@ const std::vector<std::uint32_t>& LoadExchange::live_hosts() {
   return live_;
 }
 
+bool LoadExchange::holds(const Agent& a, std::uint32_t x) const {
+  const sim::Time stamp = a.stamps[x];
+  if (stamp == kAbsent) return false;
+  // The expression a round used to age slots out, at the agent's last
+  // round; its own slot never ages.
+  return x == a.id || !(a.last_round - stamp > 3.0 * policy_.staleness_bound);
+}
+
+bool LoadExchange::fresher(const Agent& agent, std::uint32_t a,
+                           std::uint32_t b) const {
+  const sim::Time sa = agent.stamps[a];
+  const sim::Time sb = agent.stamps[b];
+  return sa != sb ? sa > sb : name_rank_[a] < name_rank_[b];
+}
+
 LoadSensor* LoadExchange::sensor_on(const os::Host& host) const {
   const Agent* a = agent_of(host);
   return a == nullptr ? nullptr : a->sensor.get();
@@ -106,7 +123,7 @@ std::vector<LoadEntry> LoadExchange::view(const os::Host& at) const {
   for (const std::uint32_t x : by_name_) {
     if (x == a->id) {
       out.push_back(a->sensor->entry());  // own view is always live
-    } else if (a->stamps[x] != kAbsent) {
+    } else if (holds(*a, x)) {
       out.emplace_back(agents_[x]->host->name(), a->samples[x], a->stamps[x]);
     }
   }
@@ -120,7 +137,7 @@ const LoadEntry* LoadExchange::entry_at(const os::Host& at,
   const auto it = id_of_name_.find(about);
   if (it == id_of_name_.end()) return nullptr;
   const std::uint32_t x = it->second;
-  if (a->stamps[x] == kAbsent) return nullptr;
+  if (!holds(*a, x)) return nullptr;
   if (a->named.empty()) a->named.resize(agents_.size());
   a->named[x] =
       LoadEntry(agents_[x]->host->name(), a->samples[x], a->stamps[x]);
@@ -139,52 +156,58 @@ void LoadExchange::receive(Agent& agent, const LoadGossip& gossip) {
     }
     sim::Time& stamp = agent.stamps[e.host];
     if (stamp >= e.stamp) continue;  // we know something newer
+    // An aged-out slot still holds its old stamp, but any entry that passed
+    // the horizon check is newer than it (DESIGN.md §11.2).
     stamp = e.stamp;
     agent.samples[e.host] = e.sample;
+    promote(agent, e.host);
     ++merged_;
     merged_ctr_->inc();
   }
+}
+
+void LoadExchange::promote(Agent& agent, std::uint32_t x) {
+  std::vector<std::uint32_t>& top = agent.top;
+  const std::size_t keep = policy_.vector_cap - 1;
+  const auto cmp = [&](std::uint32_t a, std::uint32_t b) {
+    return fresher(agent, a, b);
+  };
+  // With every slot taken, a newcomer that does not beat the last one stays
+  // out.  A member other than the last was fresher than it already, and a
+  // rising stamp keeps it so.
+  if (top.size() == keep &&
+      (keep == 0 || (x != top.back() && !cmp(x, top.back()))))
+    return;
+  if (const auto at = std::find(top.begin(), top.end(), x); at != top.end())
+    top.erase(at);
+  else if (top.size() == keep)
+    top.pop_back();
+  top.insert(std::upper_bound(top.begin(), top.end(), x, cmp), x);
 }
 
 void LoadExchange::gossip_round(Agent& agent) {
   const sim::Time now = vm_->engine().now();
   ++rounds_;
 
-  // Refresh our own entry.  Then one pass over the stamps ages out what
-  // nobody has refreshed in a long time (a crashed host's last words should
-  // not circulate forever) and keeps the freshest `vector_cap - 1` of the
-  // rest in `fresh_`: newest stamp first, ties in name order.
+  // Refresh our own entry, then age out what nobody has refreshed in a long
+  // time (a crashed host's last words should not circulate forever).  The
+  // freshest `vector_cap - 1` others are already in `top`, freshest first,
+  // so the aged ones among them sit at its tail.  A slot outside `top` is
+  // not touched: from now on holds() reads it as absent if it has aged.
   const std::uint32_t self = agent.id;
   agent.samples[self] = agent.sensor->reading();
   agent.stamps[self] = agent.sensor->last_sample();
-  const auto fresher = [&](std::uint32_t a, std::uint32_t b) {
-    const sim::Time sa = agent.stamps[a];
-    const sim::Time sb = agent.stamps[b];
-    return sa != sb ? sa > sb : name_rank_[a] < name_rank_[b];
-  };
+  agent.last_round = now;
   const sim::Time horizon = 3.0 * policy_.staleness_bound;
-  const std::size_t keep = policy_.vector_cap - 1;
-  fresh_.clear();
-  for (std::uint32_t x = 0; x < agent.stamps.size(); ++x) {
-    if (x == self) continue;
-    sim::Time& stamp = agent.stamps[x];
-    if (now - stamp > horizon) {
-      stamp = kAbsent;  // never heard of, or aged out
-      continue;
-    }
-    if (fresh_.size() == keep) {
-      if (keep == 0 || !fresher(x, fresh_.back())) continue;
-      fresh_.pop_back();
-    }
-    fresh_.insert(std::upper_bound(fresh_.begin(), fresh_.end(), x, fresher),
-                  x);
-  }
+  std::vector<std::uint32_t>& top = agent.top;
+  while (!top.empty() && now - agent.stamps[top.back()] > horizon)
+    top.pop_back();
 
-  // The gossip vector: our own entry first, then `fresh_` in order.
+  // The gossip vector: our own entry first, then `top` in order.
   auto gossip = std::make_shared<LoadGossip>();
-  gossip->entries.reserve(fresh_.size() + 1);
+  gossip->entries.reserve(top.size() + 1);
   gossip->entries.push_back({self, agent.stamps[self], agent.samples[self]});
-  for (const std::uint32_t x : fresh_)
+  for (const std::uint32_t x : top)
     gossip->entries.push_back({x, agent.stamps[x], agent.samples[x]});
   // Receivers any_cast to exactly this type, so convert before wrapping.
   const std::shared_ptr<const LoadGossip> payload = std::move(gossip);

@@ -12,11 +12,12 @@
 // bound rather than trusting them.
 //
 // Hosts are indexed densely (id = the daemon's position in the VM), so an
-// agent's map is a flat array of samples plus an array of stamps, a round
-// is one scan over them, one payload carrying ids instead of names serves
-// every peer, and lookups by host or name are O(1).  Names only order
-// things: selection ties and view() follow name order, as a name-keyed map
-// would.
+// agent's map is a flat array of samples plus an array of stamps, one
+// payload carrying ids instead of names serves every peer, and lookups by
+// host or name are O(1).  Each agent keeps its freshest `vector_cap - 1`
+// entries ordered as receive() merges them and ages the rest lazily, so a
+// round costs O(vector_cap), not O(hosts).  Names only order things:
+// selection ties and view() follow name order, as a name-keyed map would.
 #pragma once
 
 #include <memory>
@@ -86,9 +87,17 @@ class LoadExchange {
     std::uint32_t id = 0;  ///< this host's dense index
     std::unique_ptr<LoadSensor> sensor;
     /// The map, by origin host id: the freshest known sample and its
-    /// origin stamp (kAbsent when never heard of or aged out).
+    /// origin stamp (kAbsent when never heard of).  A slot other than our
+    /// own whose stamp is older than the horizon at `last_round` has aged
+    /// out and reads as absent; nothing overwrites it.
     std::vector<LoadSample> samples;
     std::vector<sim::Time> stamps;
+    /// Up to `vector_cap - 1` host ids other than our own, freshest first
+    /// (newest stamp, ties in name order).  Every slot outside it is older
+    /// than every slot in it, or has aged out (DESIGN.md §11.2).
+    std::vector<std::uint32_t> top;
+    /// When this agent last ran a round; ageing is judged against it.
+    sim::Time last_round;
     /// entry_at()'s named copies, built on the first lookup.
     mutable std::vector<LoadEntry> named;
     sim::Rng rng;
@@ -100,6 +109,13 @@ class LoadExchange {
   };
 
   [[nodiscard]] const Agent* agent_of(const os::Host& host) const;
+  /// True when `a` knows an entry for `x` that has not aged out.
+  [[nodiscard]] bool holds(const Agent& a, std::uint32_t x) const;
+  /// `a` is fresher than `b` in `agent`'s map: newer stamp, then name.
+  [[nodiscard]] bool fresher(const Agent& agent, std::uint32_t a,
+                             std::uint32_t b) const;
+  /// Re-place `x` in `agent.top` after its stamp rose.
+  void promote(Agent& agent, std::uint32_t x);
   /// Ids of the hosts that are up, ascending.
   [[nodiscard]] const std::vector<std::uint32_t>& live_hosts();
   void receive(Agent& agent, const LoadGossip& gossip);
@@ -119,7 +135,6 @@ class LoadExchange {
   std::vector<std::uint32_t> live_;
   bool live_stale_ = true;
   /// Per-round scratch, reused so a round allocates only its payload.
-  std::vector<std::uint32_t> fresh_;
   std::vector<std::pair<std::size_t, std::uint32_t>> moved_;
   std::vector<sim::ProcHandle> loops_;
   obs::Counter* sent_ctr_ = nullptr;

@@ -12,42 +12,26 @@ constexpr std::uint64_t key_of(NodeId node, std::uint16_t port) {
 
 void DatagramService::bind(NodeId node, std::uint16_t port, Handler handler) {
   CPE_EXPECTS(handler != nullptr);
-  const std::uint64_t key = key_of(node, port);
-  for (auto& [k, h] : handlers_) {
-    if (k == key) {
-      h = std::move(handler);
-      return;
-    }
-  }
-  handlers_.emplace_back(key, std::move(handler));
+  handlers_[key_of(node, port)] = std::move(handler);
 }
 
 void DatagramService::unbind(NodeId node, std::uint16_t port) {
-  const std::uint64_t key = key_of(node, port);
-  std::erase_if(handlers_, [key](const auto& kv) { return kv.first == key; });
+  handlers_.erase(key_of(node, port));
 }
 
 void DatagramService::deliver(Datagram d) {
-  const std::uint64_t key = key_of(d.dst, d.port);
-  for (auto& [k, h] : handlers_) {
-    if (k == key) {
-      h(std::move(d));
-      return;
-    }
-  }
-  throw Error("DatagramService: no handler bound for node " +
-              std::to_string(d.dst) + " port " + std::to_string(d.port));
+  const auto it = handlers_.find(key_of(d.dst, d.port));
+  if (it == handlers_.end())
+    throw Error("DatagramService: no handler bound for node " +
+                std::to_string(d.dst) + " port " + std::to_string(d.port));
+  it->second(std::move(d));
 }
 
 bool DatagramService::try_deliver(Datagram d) {
-  const std::uint64_t key = key_of(d.dst, d.port);
-  for (auto& [k, h] : handlers_) {
-    if (k == key) {
-      h(std::move(d));
-      return true;
-    }
-  }
-  return false;
+  const auto it = handlers_.find(key_of(d.dst, d.port));
+  if (it == handlers_.end()) return false;
+  it->second(std::move(d));
+  return true;
 }
 
 void DatagramService::deliver_later(Datagram d, sim::Time dt) {

@@ -252,7 +252,9 @@ class DatagramService {
   sim::Rng rng_;
   AdversaryParams adversary_;
   CorruptHook corrupt_hook_;
-  std::vector<std::pair<std::uint64_t, Handler>> handlers_;
+  /// By (node << 16 | port).  Node-based, so a handler that binds or
+  /// unbinds another pair during its own delivery does not move itself.
+  std::unordered_map<std::uint64_t, Handler> handlers_;
   std::uint64_t sent_ = 0;
   std::uint64_t unreliable_sent_ = 0;
   std::uint64_t retransmits_ = 0;

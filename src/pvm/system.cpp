@@ -275,6 +275,7 @@ Pvmd& PvmSystem::add_host(os::Host& host) {
   CPE_EXPECTS(daemon_on(host) == nullptr);
   daemons_.push_back(std::make_unique<Pvmd>(
       *this, host, static_cast<std::uint32_t>(daemons_.size())));
+  daemon_of_.emplace(&host, daemons_.back().get());
   host.add_observer([this](os::Host& h, os::HostEvent ev) {
     if (ev == os::HostEvent::kCrash) handle_host_crash(h);
   });
@@ -303,9 +304,8 @@ void PvmSystem::handle_host_crash(os::Host& host) {
 }
 
 Pvmd* PvmSystem::daemon_on(const os::Host& host) const {
-  for (const auto& d : daemons_)
-    if (&d->host() == &host) return d.get();
-  return nullptr;
+  const auto it = daemon_of_.find(&host);
+  return it == daemon_of_.end() ? nullptr : it->second;
 }
 
 Pvmd* PvmSystem::daemon_at(net::NodeId node) const {

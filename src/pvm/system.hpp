@@ -76,6 +76,11 @@ class Pvmd {
   [[nodiscard]] std::size_t local_task_count() const noexcept {
     return local_.size();
   }
+  /// The tasks this daemon hosts, by current tid (hash order).
+  [[nodiscard]] const std::unordered_map<std::int32_t, Task*>& local_tasks()
+      const noexcept {
+    return local_;
+  }
 
   /// Queue a message for a remote host; the pump sends in FIFO order.
   void enqueue_remote(Message m, net::NodeId dst_node);
@@ -346,6 +351,7 @@ class PvmSystem {
   sim::Rng corrupt_rng_{0x5eedc0de};
   GroupServer groups_;
   std::vector<std::unique_ptr<Pvmd>> daemons_;
+  std::unordered_map<const os::Host*, Pvmd*> daemon_of_;  ///< by host
   std::unordered_map<std::string, TaskMain> programs_;
   std::unordered_map<std::int32_t, std::unique_ptr<Task>> by_logical_;
   std::vector<Task*> registry_;  ///< every task, by logical tid

@@ -61,6 +61,70 @@ TEST_F(GsEnv, MoverUnitsOnFollowTheSortedRegistry) {
   EXPECT_EQ(live, 8u);
 }
 
+/// The MPVM mover answers units_on and count_on from each host's daemon
+/// table.  After a migration (the task changes daemons through retid), a
+/// kill and a host crash, both must still agree with the full registry walk
+/// they replaced: live tasks whose daemon is on the host, in logical-tid
+/// order.
+TEST_F(GsEnv, MoverPerHostQueriesFollowMigrationKillAndCrash) {
+  mpvm::Mpvm mpvm(vm);
+  const std::unique_ptr<Mover> mover = make_mover(mpvm);
+  vm.register_program("long", [](Task& t) -> sim::Co<void> {
+    t.process().image().data_bytes = 20'000;
+    co_await t.compute(600.0);
+  });
+  const auto walk = [&](const os::Host& h) {
+    std::vector<std::int64_t> want;
+    for (const Task* t : vm.all_tasks())
+      if (!t->exited() && &t->pvmd().host() == &h)
+        want.push_back(task_unit(t->tid()));
+    return want;
+  };
+  const auto expect_walk = [&](const std::string& after) {
+    for (const os::Host* h : {&host1, &host2, &host3}) {
+      const std::vector<std::int64_t> want = walk(*h);
+      EXPECT_EQ(mover->units_on(*h), want) << h->name() << " after " << after;
+      EXPECT_EQ(mover->count_on(*h), want.size())
+          << h->name() << " after " << after;
+    }
+  };
+
+  std::vector<pvm::Tid> on1, on2, on3;
+  std::optional<mpvm::MigrationStats> moved;
+  auto driver = [&]() -> sim::Proc {
+    on1 = co_await vm.spawn("long", 3, "host1");
+    on2 = co_await vm.spawn("long", 3, "host2");
+    on3 = co_await vm.spawn("long", 2, "host3");
+    co_await sim::Delay(eng, 1.0);
+    // host1's tids sort before host3's: the migrant must lead host3's list.
+    moved = co_await mpvm.migrate(on1[1], host3);
+  };
+  sim::spawn(eng, driver());
+  eng.run_until(2.0);
+  expect_walk("spawn");
+  eng.run_until(30.0);
+  ASSERT_TRUE(moved.has_value());
+  ASSERT_TRUE(moved->ok) << moved->failure;
+  expect_walk("migration");
+  EXPECT_EQ(mover->units_on(host3),
+            (std::vector<std::int64_t>{task_unit(on1[1]), task_unit(on3[0]),
+                                       task_unit(on3[1])}));
+  EXPECT_EQ(mover->count_on(host1), 2u);
+
+  ASSERT_TRUE(vm.kill(on3[0]));
+  expect_walk("kill");
+  EXPECT_EQ(mover->count_on(host3), 2u);
+
+  // host2 crashes: two tasks die with it, the crash-recoverable one is
+  // stranded there (still live, still in host2's table).
+  vm.find_logical(on2[1])->process().set_crash_recoverable(true);
+  host2.crash();
+  expect_walk("crash");
+  EXPECT_EQ(mover->units_on(host2),
+            (std::vector<std::int64_t>{task_unit(on2[1])}));
+  EXPECT_EQ(mover->count_on(host2), 1u);
+}
+
 TEST_F(GsEnv, PickDestinationPrefersLeastLoaded) {
   GlobalScheduler gs(vm);
   host2.cpu().set_external_jobs(3);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -298,6 +300,143 @@ TEST_F(DatagramFixture, SameIslandStillCommunicatesDuringPartition) {
   sim::spawn(eng, body());
   eng.run();
   EXPECT_EQ(delivered, 1);
+}
+
+/// Two ports bound on each of 1,024 nodes, as a fleet's pvmds and load
+/// agents bind them: every handler keeps count of what it heard, and a
+/// datagram's payload names the (node, port) slot it was sent to.
+struct FleetDemux : ::testing::Test {
+  static constexpr int kNodes = 1024;
+  static constexpr std::uint16_t kPorts[2] = {7, 1021};
+
+  sim::Engine eng;
+  Network net{eng};
+  std::vector<NodeId> nodes;
+  std::vector<int> heard = std::vector<int>(2 * kNodes, 0);  ///< by slot
+  int misrouted = 0;  ///< deliveries a handler heard for another slot
+  int others = 0;     ///< deliveries to pairs bound outside the slots
+
+  FleetDemux() {
+    for (int i = 0; i < kNodes; ++i)
+      nodes.push_back(net.add_node("n" + std::to_string(i)));
+    for (int slot = 0; slot < 2 * kNodes; ++slot) bind_slot(slot, slot);
+  }
+  /// Bind `slot`'s pair to a handler that counts into heard[counter].
+  void bind_slot(int slot, int counter) {
+    net.datagrams().bind(node_of(slot), port_of(slot),
+                         [this, slot, counter](Datagram d) {
+                           if (std::any_cast<int>(d.payload) == slot &&
+                               d.dst == node_of(slot) &&
+                               d.port == port_of(slot))
+                             ++heard[static_cast<std::size_t>(counter)];
+                           else
+                             ++misrouted;
+                         });
+  }
+  [[nodiscard]] DatagramService& dg() { return net.datagrams(); }
+  [[nodiscard]] int heard_at(int slot) const {
+    return heard[static_cast<std::size_t>(slot)];
+  }
+  [[nodiscard]] NodeId node_of(int slot) const {
+    return nodes[static_cast<std::size_t>(slot / 2)];
+  }
+  [[nodiscard]] static std::uint16_t port_of(int slot) {
+    return kPorts[slot % 2];
+  }
+  /// One datagram to each slot in `slots`, each from the next node over.
+  void send_to(const std::vector<int>& slots) {
+    for (const int slot : slots) {
+      const NodeId src = nodes[static_cast<std::size_t>((slot / 2 + 1) %
+                                                        kNodes)];
+      auto body = [](DatagramService* dg, Datagram d) -> sim::Proc {
+        co_await dg->send(std::move(d));
+      };
+      sim::spawn(eng, body(&net.datagrams(),
+                           Datagram(src, node_of(slot), port_of(slot), 64,
+                                    slot)));
+    }
+    eng.run();
+  }
+};
+
+TEST_F(FleetDemux, EveryDatagramReachesExactlyItsOwnHandler) {
+  // Rebind one pair: from now on only the new handler may hear it.  The
+  // new handler counts into the slot of an unbound pair, which hears
+  // nothing otherwise.
+  constexpr int kRebound = 2 * 500;
+  const std::vector<int> unbound = {2 * 3 + 1, 2 * 400, 2 * 1023 + 1};
+  for (const int slot : unbound) net.datagrams().unbind(node_of(slot),
+                                                        port_of(slot));
+  bind_slot(kRebound, unbound[0]);
+
+  std::vector<int> bound;
+  for (int slot = 0; slot < 2 * kNodes; ++slot)
+    if (std::find(unbound.begin(), unbound.end(), slot) == unbound.end())
+      bound.push_back(slot);
+  send_to(bound);  // the reliable path delivers through deliver()
+  EXPECT_EQ(misrouted, 0);
+  for (const int slot : bound) {
+    if (slot != kRebound) {
+      EXPECT_EQ(heard_at(slot), 1) << "slot " << slot;
+    }
+  }
+  EXPECT_EQ(heard_at(kRebound), 0);
+  EXPECT_EQ(heard_at(unbound[0]), 1);  // the rebound pair's new handler
+  EXPECT_EQ(heard_at(unbound[1]) + heard_at(unbound[2]), 0);
+
+  // Held deliveries go through try_deliver(): a datagram for an unbound
+  // pair becomes a counted drop at its node, not an error.
+  net.set_adversary({.reorder_probability = 1.0, .reorder_horizon = 0.01});
+  std::vector<int> all(2 * kNodes);
+  std::iota(all.begin(), all.end(), 0);
+  send_to(all);
+  EXPECT_EQ(misrouted, 0);
+  for (const int slot : bound) {
+    if (slot != kRebound) {
+      EXPECT_EQ(heard_at(slot), 2) << "slot " << slot;
+    }
+  }
+  EXPECT_EQ(heard_at(kRebound), 0);
+  EXPECT_EQ(heard_at(unbound[0]), 2);
+  EXPECT_EQ(net.datagrams().drops_total(), unbound.size());
+  for (const int slot : unbound)
+    EXPECT_EQ(net.datagrams().drops_to(node_of(slot)), 1u) << "slot " << slot;
+}
+
+TEST_F(FleetDemux, HandlerMayBindAndUnbindOtherPairsDuringItsDelivery) {
+  // While it runs, the handler on (node 0, port 9) unbinds node 1's port 7
+  // and binds 4,096 new pairs, enough to regrow any contiguous table, and
+  // only then uses its captures.  The closure is two pointers, so it lives
+  // inside the std::function: a table that moved the running handler would
+  // have it read freed memory (which ASan reports).
+  std::vector<int> seen;
+  dg().bind(nodes[0], 9, [this, &seen](Datagram d) {
+    dg().unbind(nodes[1], 7);
+    for (std::uint16_t port = 9000; port < 9004; ++port)
+      for (const NodeId node : nodes)
+        dg().bind(node, port, [this](Datagram) { ++others; });
+    seen.push_back(std::any_cast<int>(d.payload));
+  });
+  auto send = [](DatagramService* s, Datagram d) -> sim::Proc {
+    co_await s->send(std::move(d));
+  };
+  sim::spawn(eng, send(&dg(), Datagram(nodes[5], nodes[0], 9, 64, 42)));
+  eng.run();
+  EXPECT_EQ(seen, std::vector<int>{42});
+
+  // The pairs it bound hear their datagrams; the pair it unbound is gone.
+  int sent = 0;
+  for (std::uint16_t port = 9000; port < 9004; ++port) {
+    for (std::size_t i = 0; i < nodes.size(); i += 97, ++sent)
+      sim::spawn(eng, send(&dg(), Datagram(nodes[5], nodes[i], port, 64, {})));
+  }
+  eng.run();
+  EXPECT_EQ(others, sent);
+  net.set_adversary({.reorder_probability = 1.0, .reorder_horizon = 0.01});
+  send_to({2 * 1});
+  EXPECT_EQ(heard_at(2 * 1), 0);
+  EXPECT_EQ(dg().drops_to(nodes[1]), 1u);
+  EXPECT_EQ(misrouted, 0);
 }
 
 }  // namespace

@@ -301,17 +301,13 @@ std::string first_difference(const World& wx, const load::LoadExchange& x,
   return "";
 }
 
-class ExchangeEquivalenceSweep
-    : public ::testing::TestWithParam<std::tuple<int, Fabric, unsigned>> {};
-
-TEST_P(ExchangeEquivalenceSweep, MatchesTheNameKeyedExchangeEverySecond) {
-  const auto [n, fabric, seed] = GetParam();
+/// Runs both exchanges with `vector_cap` = `cap` in identical worlds of `n`
+/// hosts and compares them every simulated second.
+void expect_equivalent(int n, std::size_t cap, Fabric fabric, unsigned seed) {
   ExchangePolicy policy;
   policy.seed = seed;
   policy.staleness_bound = 2.0;  // entries age out within the run
-  // Fewer slots than peers, so the freshest-k selection and its name
-  // tie-break decide what travels.
-  policy.vector_cap = static_cast<std::size_t>(std::max(2, n / 4));
+  policy.vector_cap = cap;
   const sim::Time horizon = 30.0;
 
   World wx(n, fabric, seed);
@@ -357,6 +353,29 @@ TEST_P(ExchangeEquivalenceSweep, MatchesTheNameKeyedExchangeEverySecond) {
             wr.net.datagrams().payload_bytes_sent());
 }
 
+class ExchangeEquivalenceSweep
+    : public ::testing::TestWithParam<std::tuple<int, Fabric, unsigned>> {};
+
+TEST_P(ExchangeEquivalenceSweep, MatchesTheNameKeyedExchangeEverySecond) {
+  const auto [n, fabric, seed] = GetParam();
+  // Fewer slots than peers, so the freshest-k selection and its name
+  // tie-break decide what travels.
+  expect_equivalent(n, static_cast<std::size_t>(std::max(2, n / 4)), fabric,
+                    seed);
+}
+
+/// The selection's edge cases: `vector_cap` 1 (only the sender's own entry
+/// travels, nothing is ever selected) and a cap above the host count (the
+/// selection never fills, so every live entry travels).
+class ExchangeCapSweep
+    : public ::testing::TestWithParam<
+          std::tuple<int, std::size_t, Fabric, unsigned>> {};
+
+TEST_P(ExchangeCapSweep, MatchesTheNameKeyedExchangeEverySecond) {
+  const auto [n, cap, fabric, seed] = GetParam();
+  expect_equivalent(n, cap, fabric, seed);
+}
+
 std::string fabric_name(Fabric f) {
   switch (f) {
     case Fabric::kClean: return "clean";
@@ -367,16 +386,41 @@ std::string fabric_name(Fabric f) {
   return "?";
 }
 
+std::string cell_name(
+    const ::testing::TestParamInfo<std::tuple<int, Fabric, unsigned>>& param) {
+  return std::to_string(std::get<0>(param.param)) + "hosts_" +
+         fabric_name(std::get<1>(param.param)) + "_seed" +
+         std::to_string(std::get<2>(param.param));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cells, ExchangeEquivalenceSweep,
     ::testing::Combine(::testing::Values(3, 17, 64),
                        ::testing::Values(Fabric::kClean, Fabric::kCrashRecover,
                                          Fabric::kDupReorder, Fabric::kLossy),
                        ::testing::Values(1u, 7919u)),
+    cell_name);
+
+// A fleet: over 200 candidates compete for each of the 63 selected slots.
+INSTANTIATE_TEST_SUITE_P(
+    Fleet, ExchangeEquivalenceSweep,
+    ::testing::Combine(::testing::Values(256),
+                       ::testing::Values(Fabric::kClean, Fabric::kCrashRecover),
+                       ::testing::Values(1u)),
+    cell_name);
+
+INSTANTIATE_TEST_SUITE_P(
+    Caps, ExchangeCapSweep,
+    ::testing::Combine(::testing::Values(17),
+                       ::testing::Values(std::size_t{1}, std::size_t{24}),
+                       ::testing::Values(Fabric::kClean, Fabric::kCrashRecover,
+                                         Fabric::kDupReorder, Fabric::kLossy),
+                       ::testing::Values(1u)),
     [](const auto& param) {
-      return std::to_string(std::get<0>(param.param)) + "hosts_" +
-             fabric_name(std::get<1>(param.param)) + "_seed" +
-             std::to_string(std::get<2>(param.param));
+      return std::to_string(std::get<0>(param.param)) + "hosts_cap" +
+             std::to_string(std::get<1>(param.param)) + "_" +
+             fabric_name(std::get<2>(param.param)) + "_seed" +
+             std::to_string(std::get<3>(param.param));
     });
 
 }  // namespace
