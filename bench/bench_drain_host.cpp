@@ -59,7 +59,8 @@ struct RunResult {
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(p * (v.size() - 1) + 0.5);
+  const auto idx =
+      static_cast<std::size_t>(p * static_cast<double>(v.size() - 1) + 0.5);
   return v[std::min(idx, v.size() - 1)];
 }
 

@@ -257,7 +257,8 @@ int run_slo() {
   std::uint64_t bad_fires = 0, good_fires = 0;
   std::printf("  violation timeline (%zu total):\n", an.violations().size());
   for (const obs::SloViolation& v : an.violations()) {
-    (v.rule == &bad ? bad_fires : good_fires)++;
+    if (v.rule == &bad) ++bad_fires;
+    if (v.rule == &good) ++good_fires;
     if (bad_fires + good_fires <= 8)
       std::printf("    t=%6.1f  %s  observed %.6g (streak %d)\n", v.t,
                   v.rule->text().c_str(), v.observed, v.streak);

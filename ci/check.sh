@@ -2,7 +2,7 @@
 # Tier-1 verification: build and run the test suite, plain and sanitized.
 #
 #   ci/check.sh            # plain + ASan/UBSan + TSan + bench + audit + slo
-#   ci/check.sh plain      # plain RelWithDebInfo only
+#   ci/check.sh plain      # plain RelWithDebInfo only, warnings as errors
 #   ci/check.sh sanitize   # ASan+UBSan only
 #   ci/check.sh tsan       # ThreadSanitizer only
 #   ci/check.sh bench      # bench reports: prove the report validator
@@ -448,7 +448,7 @@ mode="${1:-all}"
 
 case "$mode" in
   plain)
-    run_suite build
+    run_suite build -DCPE_WARNINGS_AS_ERRORS=ON
     ;;
   sanitize)
     run_suite build-asan -DCPE_SANITIZE=address
@@ -483,7 +483,7 @@ case "$mode" in
     run_parity "$2"
     ;;
   all)
-    run_suite build
+    run_suite build -DCPE_WARNINGS_AS_ERRORS=ON
     run_suite build-asan -DCPE_SANITIZE=address
     run_suite build-tsan -DCPE_SANITIZE=thread
     run_bench

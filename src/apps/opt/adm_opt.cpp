@@ -167,19 +167,24 @@ sim::Co<void> AdmOpt::master_main(pvm::Task& t) {
   // Clock starts once the VPs exist (see PvmOpt::master_main).
   result_.start_time = eng.now();
 
-  sim::Rng rng(cfg_.opt.seed);
-  ExemplarSet data = ExemplarSet::synthesize_bytes(cfg_.opt.data_bytes, rng);
-  result_.data_checksum = data.checksum();
-  std::size_t total_items = data.size();
-  t.process().image().data_bytes = data.bytes() + Network::bytes();
-
-  std::vector<std::size_t> counts = adm::equal_shares(
-      total_items, static_cast<std::size_t>(cfg_.opt.nslaves));
+  std::size_t total_items = 0;
+  std::vector<std::size_t> counts;
   {
-    std::vector<ExemplarSet> slices = data.split(counts);
+    sim::Rng rng(cfg_.opt.seed);
+    const ExemplarSet data =
+        ExemplarSet::synthesize_bytes(cfg_.opt.data_bytes, rng);
+    result_.data_checksum = data.checksum();
+    total_items = data.size();
+    t.process().image().data_bytes = data.bytes() + Network::bytes();
+
+    // Pack each share straight from the set's wire image.
+    counts = adm::equal_shares(total_items,
+                               static_cast<std::size_t>(cfg_.opt.nslaves));
+    std::size_t first = 0;
     for (int s = 0; s < cfg_.opt.nslaves; ++s) {
-      t.initsend().pk_float(
-          slices[static_cast<std::size_t>(s)].to_wire());
+      const std::size_t count = counts[static_cast<std::size_t>(s)];
+      t.initsend().pk_float(data.to_wire(first, count));
+      first += count;
       co_await t.send(slave_tids_[static_cast<std::size_t>(s)], kTagData);
     }
   }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -33,22 +34,25 @@ class ExemplarSet {
   ExemplarSet() = default;
   ExemplarSet(const ExemplarSet&) = default;
   ExemplarSet& operator=(const ExemplarSet&) = default;
-  /// A moved-from set is empty, its flag bookkeeping included.
+  /// A moved-from set is empty, its flag bookkeeping and checksum included.
   ExemplarSet(ExemplarSet&& other) noexcept
       : wire_(std::move(other.wire_)),
         processed_(std::move(other.processed_)),
         unprocessed_(std::exchange(other.unprocessed_, 0)),
-        first_unprocessed_(std::exchange(other.first_unprocessed_, 0)) {}
+        first_unprocessed_(std::exchange(other.first_unprocessed_, 0)),
+        checksum_(std::exchange(other.checksum_, std::nullopt)) {}
   ExemplarSet& operator=(ExemplarSet&& other) noexcept {
     wire_ = std::move(other.wire_);
     processed_ = std::move(other.processed_);
     unprocessed_ = std::exchange(other.unprocessed_, 0);
     first_unprocessed_ = std::exchange(other.first_unprocessed_, 0);
+    checksum_ = std::exchange(other.checksum_, std::nullopt);
     return *this;
   }
 
   /// Synthesize `n` exemplars: class c is a Gaussian cluster (sigma 0.25)
-  /// around a deterministic per-class center.
+  /// around a deterministic per-class center.  The checksum is computed as
+  /// each exemplar is written.
   static ExemplarSet synthesize(std::size_t n, sim::Rng& rng);
 
   /// Synthesize the paper's "data size" in bytes (rounded down to whole
@@ -120,17 +124,19 @@ class ExemplarSet {
   /// Append another set's exemplars (a receiving slave integrating data).
   void append(const ExemplarSet& other);
 
-  /// Split into `shares[i]`-sized sets (initial distribution).  Consumes
-  /// this set and releases its storage.
-  [[nodiscard]] std::vector<ExemplarSet> split(
-      std::span<const std::size_t> shares);
-
   // -- Wire form ---------------------------------------------------------------
   /// Flat float image: 65 floats per exemplar (64 features + category), the
   /// form Opt packs into PVM messages.  It is the stored layout, so this is
   /// a view, valid until the set changes.
   [[nodiscard]] std::span<const float> to_wire() const noexcept {
     return wire_;
+  }
+  /// The wire image of exemplars [first, first + count): what a master
+  /// packs for one slave's share, without copying it out first.
+  [[nodiscard]] std::span<const float> to_wire(std::size_t first,
+                                               std::size_t count) const {
+    CPE_EXPECTS(first <= size() && count <= size() - first);
+    return to_wire().subspan(first * kStride, count * kStride);
   }
   /// Build a set from a wire image, all flags clear.  The vector overload
   /// adopts the unpacked image instead of copying it.
@@ -141,6 +147,8 @@ class ExemplarSet {
 
   /// Order-insensitive content hash: redistribution must conserve the
   /// multiset of exemplars (DESIGN.md invariant 6).  Flags excluded.
+  /// Remembered once computed; take_back() forgets it, append() adds the
+  /// other set's when both are known.
   [[nodiscard]] std::uint64_t checksum() const;
 
  private:
@@ -152,6 +160,7 @@ class ExemplarSet {
   std::vector<std::uint8_t> processed_;  // size
   std::size_t unprocessed_ = 0;
   std::size_t first_unprocessed_ = 0;
+  mutable std::optional<std::uint64_t> checksum_;
 };
 
 }  // namespace cpe::opt

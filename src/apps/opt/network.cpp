@@ -129,6 +129,7 @@ void Network::apply_cg_step(std::span<const float> grad, CgState& state,
   state.prev_grad.assign(grad.begin(), grad.end());
   for (std::size_t i = 0; i < kWeights; ++i)
     weights_[i] += learning_rate * state.direction[i];
+  checksum_.reset();
 }
 
 double Network::loss_on(const ExemplarSet& set) const {
@@ -158,6 +159,7 @@ double Network::accuracy_on(const ExemplarSet& set) const {
 }
 
 std::uint64_t Network::checksum() const {
+  if (checksum_) return *checksum_;
   std::uint64_t h = 1469598103934665603ull;
   for (float f : weights_) {
     std::uint32_t bits;
@@ -165,6 +167,7 @@ std::uint64_t Network::checksum() const {
     h ^= bits;
     h *= 1099511628211ull;
   }
+  checksum_ = h;
   return h;
 }
 

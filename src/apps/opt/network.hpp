@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -36,7 +37,10 @@ class Network {
   [[nodiscard]] std::span<const float> weights() const noexcept {
     return weights_;
   }
+  /// For edits: forgets the memoized checksum(), so finish editing through
+  /// this reference before the next checksum() call.
   [[nodiscard]] std::vector<float>& mutable_weights() noexcept {
+    checksum_.reset();
     return weights_;
   }
   [[nodiscard]] static constexpr std::size_t weight_count() noexcept {
@@ -77,11 +81,13 @@ class Network {
   [[nodiscard]] double accuracy_on(const ExemplarSet& set) const;
 
   /// Content hash of the weights (transparency invariant: migrated and
-  /// non-migrated runs must train identical nets).
+  /// non-migrated runs must train identical nets).  Hashed once and
+  /// remembered until apply_cg_step() or mutable_weights().
   [[nodiscard]] std::uint64_t checksum() const;
 
  private:
   std::vector<float> weights_;
+  mutable std::optional<std::uint64_t> checksum_;
 };
 
 }  // namespace cpe::opt

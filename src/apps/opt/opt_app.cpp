@@ -44,17 +44,21 @@ sim::Co<void> PvmOpt::master_main(pvm::Task& t) {
   // comparison).
   result_.start_time = eng.now();
 
-  // Build the training set and distribute it equally (§4.0).
-  sim::Rng rng(cfg_.seed);
-  ExemplarSet data = ExemplarSet::synthesize_bytes(cfg_.data_bytes, rng);
-  result_.data_checksum = data.checksum();
-  t.process().image().data_bytes = data.bytes() + Network::bytes();
+  // Build the training set and distribute it equally (§4.0), packing each
+  // share straight from the set's wire image.
   {
+    sim::Rng rng(cfg_.seed);
+    const ExemplarSet data =
+        ExemplarSet::synthesize_bytes(cfg_.data_bytes, rng);
+    result_.data_checksum = data.checksum();
+    t.process().image().data_bytes = data.bytes() + Network::bytes();
     const std::vector<std::size_t> shares = adm::equal_shares(
         data.size(), static_cast<std::size_t>(cfg_.nslaves));
-    std::vector<ExemplarSet> slices = data.split(shares);
+    std::size_t first = 0;
     for (int s = 0; s < cfg_.nslaves; ++s) {
-      t.initsend().pk_float(slices[static_cast<std::size_t>(s)].to_wire());
+      const std::size_t count = shares[static_cast<std::size_t>(s)];
+      t.initsend().pk_float(data.to_wire(first, count));
+      first += count;
       co_await t.send(slave_tids_[static_cast<std::size_t>(s)], kTagData);
     }
   }

@@ -31,17 +31,23 @@ sim::Co<void> SpmdOpt::master_main(upvm::Ulp& u) {
   sim::Engine& eng = upvm_->vm().engine();
   result_.start_time = eng.now();
 
-  sim::Rng rng(cfg_.seed);
-  ExemplarSet data = ExemplarSet::synthesize_bytes(cfg_.data_bytes, rng);
-  result_.data_checksum = data.checksum();
-  u.set_data_bytes(data.bytes() + Network::bytes());
+  {
+    sim::Rng rng(cfg_.seed);
+    const ExemplarSet data =
+        ExemplarSet::synthesize_bytes(cfg_.data_bytes, rng);
+    result_.data_checksum = data.checksum();
+    u.set_data_bytes(data.bytes() + Network::bytes());
 
-  const std::vector<std::size_t> shares = adm::equal_shares(
-      data.size(), static_cast<std::size_t>(cfg_.nslaves));
-  std::vector<ExemplarSet> slices = data.split(shares);
-  for (int s = 0; s < cfg_.nslaves; ++s) {
-    u.initsend().pk_float(slices[static_cast<std::size_t>(s)].to_wire());
-    co_await u.send(slave_inst(s), kTagData);
+    // Pack each share straight from the set's wire image.
+    const std::vector<std::size_t> shares = adm::equal_shares(
+        data.size(), static_cast<std::size_t>(cfg_.nslaves));
+    std::size_t first = 0;
+    for (int s = 0; s < cfg_.nslaves; ++s) {
+      const std::size_t count = shares[static_cast<std::size_t>(s)];
+      u.initsend().pk_float(data.to_wire(first, count));
+      first += count;
+      co_await u.send(slave_inst(s), kTagData);
+    }
   }
 
   Network net(cfg_.seed);

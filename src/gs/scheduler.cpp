@@ -501,9 +501,8 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
           index = s->index();
           age = 0;
         }
-      } else if (const load::LoadEntry* e =
-                     exchange_->entry_at(*gs_host_, h.name())) {
-        index = e->index;
+      } else if (const auto e = exchange_->entry_at(*gs_host_, h)) {
+        index = e->sample.index;
         age = now - e->stamp;
       } else {
         // Never heard of it: infinitely stale, so the index policies skip
@@ -630,9 +629,8 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
         if (os::Host* h = adm_host(s)) {
           double index = h->cpu().load();
           if (exchange_ != nullptr && gs_host_ != nullptr) {
-            if (const load::LoadEntry* e =
-                    exchange_->entry_at(*gs_host_, h->name()))
-              index = e->index;
+            if (const auto e = exchange_->entry_at(*gs_host_, *h))
+              index = e->sample.index;
           }
           w = h->cpu().speed() / (1.0 + index);
         }

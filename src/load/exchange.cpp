@@ -34,21 +34,21 @@ LoadExchange::LoadExchange(pvm::PvmSystem& vm, ExchangePolicy policy)
   merged_ctr_ = &vm.metrics().counter("load.gossip.merged");
 
   // Index every host before binding anything: entries travel as ids, and
-  // a name may stand for one host only.
+  // since names break ties, a name may stand for one host only.
   const std::size_t n = vm.daemons().size();
-  for (std::uint32_t id = 0; id < n; ++id) {
-    const os::Host& h = vm.daemons()[id]->host();
-    const bool unique_host_name = id_of_name_.emplace(h.name(), id).second;
-    CPE_EXPECTS(unique_host_name);
-    id_of_host_.emplace(&h, id);
-  }
+  const auto name = [&](std::uint32_t id) -> const std::string& {
+    return vm.daemons()[id]->host().name();
+  };
+  for (std::uint32_t id = 0; id < n; ++id)
+    id_of_host_.emplace(&vm.daemons()[id]->host(), id);
   by_name_.resize(n);
   std::iota(by_name_.begin(), by_name_.end(), 0u);
   std::sort(by_name_.begin(), by_name_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return vm.daemons()[a]->host().name() <
-                     vm.daemons()[b]->host().name();
-            });
+            [&](std::uint32_t a, std::uint32_t b) { return name(a) < name(b); });
+  for (std::uint32_t r = 1; r < n; ++r) {
+    const bool unique_host_name = name(by_name_[r - 1]) != name(by_name_[r]);
+    CPE_EXPECTS(unique_host_name);
+  }
   name_rank_.resize(n);
   for (std::uint32_t r = 0; r < n; ++r) name_rank_[by_name_[r]] = r;
 
@@ -130,18 +130,12 @@ std::vector<LoadEntry> LoadExchange::view(const os::Host& at) const {
   return out;
 }
 
-const LoadEntry* LoadExchange::entry_at(const os::Host& at,
-                                        const std::string& about) const {
+std::optional<LoadGossip::Entry> LoadExchange::entry_at(
+    const os::Host& at, const os::Host& about) const {
   const Agent* a = agent_of(at);
-  if (a == nullptr) return nullptr;
-  const auto it = id_of_name_.find(about);
-  if (it == id_of_name_.end()) return nullptr;
-  const std::uint32_t x = it->second;
-  if (!holds(*a, x)) return nullptr;
-  if (a->named.empty()) a->named.resize(agents_.size());
-  a->named[x] =
-      LoadEntry(agents_[x]->host->name(), a->samples[x], a->stamps[x]);
-  return &a->named[x];
+  const Agent* b = agent_of(about);
+  if (a == nullptr || b == nullptr || !holds(*a, b->id)) return std::nullopt;
+  return LoadGossip::Entry{b->id, a->stamps[b->id], a->samples[b->id]};
 }
 
 void LoadExchange::receive(Agent& agent, const LoadGossip& gossip) {

@@ -14,14 +14,14 @@
 // Hosts are indexed densely (id = the daemon's position in the VM), so an
 // agent's map is a flat array of samples plus an array of stamps, one
 // payload carrying ids instead of names serves every peer, and lookups by
-// host or name are O(1).  Each agent keeps its freshest `vector_cap - 1`
+// host are O(1).  Each agent keeps its freshest `vector_cap - 1`
 // entries ordered as receive() merges them and ages the rest lazily, so a
 // round costs O(vector_cap), not O(hosts).  Names only order things:
 // selection ties and view() follow name order, as a name-keyed map would.
 #pragma once
 
 #include <memory>
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -67,11 +67,11 @@ class LoadExchange {
   /// `at` can actually know without central polling.
   [[nodiscard]] std::vector<LoadEntry> view(const os::Host& at) const;
 
-  /// The entry for `about` in `at`'s map; nullptr when never heard of.
-  /// The pointee is a copy taken at the call and stays valid as long as
-  /// the exchange; the next entry_at() for the same pair refreshes it.
-  [[nodiscard]] const LoadEntry* entry_at(const os::Host& at,
-                                          const std::string& about) const;
+  /// `about`'s slot in `at`'s map: its sample and origin stamp, `host`
+  /// being `about`'s id.  nullopt when `at` never heard of `about`, the
+  /// entry aged out, or either host is not in the VM.
+  [[nodiscard]] std::optional<LoadGossip::Entry> entry_at(
+      const os::Host& at, const os::Host& about) const;
 
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   [[nodiscard]] std::uint64_t entries_merged() const noexcept {
@@ -98,8 +98,6 @@ class LoadExchange {
     std::vector<std::uint32_t> top;
     /// When this agent last ran a round; ageing is judged against it.
     sim::Time last_round;
-    /// entry_at()'s named copies, built on the first lookup.
-    mutable std::vector<LoadEntry> named;
     sim::Rng rng;
     std::uint64_t observer = 0;  ///< the host observer marking live_ stale
 
@@ -127,7 +125,6 @@ class LoadExchange {
   sim::Rng rng_;
   std::vector<std::unique_ptr<Agent>> agents_;  ///< by host id
   std::unordered_map<const os::Host*, std::uint32_t> id_of_host_;
-  std::unordered_map<std::string, std::uint32_t> id_of_name_;
   std::vector<std::uint32_t> by_name_;    ///< host ids in name order
   std::vector<std::uint32_t> name_rank_;  ///< host id -> position in by_name_
   /// Rebuilt after a host crashes or recovers (a host observer sets

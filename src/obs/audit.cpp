@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
+#include <span>
 #include <sstream>
 #include <string_view>
 
@@ -22,16 +22,56 @@ bool is_protocol_span(const SpanRecord& s) {
   return false;
 }
 
+using Records = std::vector<const SpanRecord*>;
+
+/// `spans` stably sorted by `key` (already sorted, as a tracer's ring is by
+/// span id, costs one pass).
+template <class Key>
+Records sorted_by(const Records& spans, Key key) {
+  Records out = spans;
+  const auto less = [&](const SpanRecord* a, const SpanRecord* b) {
+    return key(*a) < key(*b);
+  };
+  if (!std::is_sorted(out.begin(), out.end(), less))
+    std::stable_sort(out.begin(), out.end(), less);
+  return out;
+}
+
+SpanId id_of(const SpanRecord& s) { return s.span_id; }
+TraceId trace_of(const SpanRecord& s) { return s.trace_id; }
+
+/// Span lookup by id in records sorted by id.  A duplicated id resolves to
+/// its last record, as a map assignment in record order would.
+const SpanRecord* find_span(const Records& by_id, SpanId id) {
+  const auto it = std::upper_bound(
+      by_id.begin(), by_id.end(), id,
+      [](SpanId v, const SpanRecord* s) { return v < s->span_id; });
+  if (it == by_id.begin() || (*(it - 1))->span_id != id) return nullptr;
+  return *(it - 1);
+}
+
+/// The records of `trace`, in record order, from records grouped by trace.
+std::span<const SpanRecord* const> records_of(const Records& by_trace,
+                                              TraceId trace) {
+  const auto lo = std::lower_bound(
+      by_trace.begin(), by_trace.end(), trace,
+      [](const SpanRecord* s, TraceId v) { return s->trace_id < v; });
+  const auto hi = std::upper_bound(
+      lo, by_trace.end(), trace,
+      [](TraceId v, const SpanRecord* s) { return v < s->trace_id; });
+  return {lo, hi};
+}
+
 /// True when `candidate` is a descendant of span id `root` (parent chain
 /// within the same trace; bounded walk guards against cyclic corruption).
-bool descends_from(const std::map<SpanId, const SpanRecord*>& by_id,
-                   const SpanRecord& candidate, SpanId root) {
+bool descends_from(const Records& by_id, const SpanRecord& candidate,
+                   SpanId root) {
   SpanId cur = candidate.parent_span;
   for (int depth = 0; depth < 64 && cur != 0; ++depth) {
     if (cur == root) return true;
-    const auto it = by_id.find(cur);
-    if (it == by_id.end()) return false;
-    cur = it->second->parent_span;
+    const SpanRecord* parent = find_span(by_id, cur);
+    if (parent == nullptr) return false;
+    cur = parent->parent_span;
   }
   return false;
 }
@@ -39,10 +79,10 @@ bool descends_from(const std::map<SpanId, const SpanRecord*>& by_id,
 }  // namespace
 
 TraceAuditor::TraceAuditor(const SpanTracer& tracer)
-    : spans_(tracer.spans().begin(), tracer.spans().end()) {}
+    : ring_(&tracer.spans()) {}
 
 TraceAuditor::TraceAuditor(std::vector<SpanRecord> spans)
-    : spans_(std::move(spans)) {}
+    : owned_(std::move(spans)) {}
 
 std::vector<AuditViolation> TraceAuditor::audit() const {
   std::vector<AuditViolation> out;
@@ -52,15 +92,22 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
                                  std::move(detail)});
   };
 
-  // Index spans by trace and by id (span ids are globally unique per run).
-  std::map<TraceId, std::vector<const SpanRecord*>> traces;
-  std::map<SpanId, const SpanRecord*> by_id;
-  for (const auto& s : spans_) {
-    traces[s.trace_id].push_back(&s);
-    by_id[s.span_id] = &s;
-  }
+  // Audit the records where they are, through pointers: flat indexes by id
+  // and by trace (span ids are globally unique per run).
+  Records spans;
+  const auto collect = [&spans](const auto& records) {
+    spans.reserve(records.size());
+    for (const SpanRecord& s : records) spans.push_back(&s);
+  };
+  if (ring_ != nullptr)
+    collect(*ring_);
+  else
+    collect(owned_);
+  const Records by_id = sorted_by(spans, id_of);
+  const Records by_trace = sorted_by(spans, trace_of);
 
-  for (const auto& s : spans_) {
+  for (const SpanRecord* sp : spans) {
+    const SpanRecord& s = *sp;
     // Invariant 5: no dangling protocol span.
     if (!s.instant && s.status == SpanStatus::kOpen && is_protocol_span(s))
       violate(s.trace_id, "no-dangling",
@@ -75,9 +122,8 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
         violate(s.trace_id, "decision-linkage",
                 "load.decide span " + std::to_string(s.span_id) +
                     " did not close Ok");
-      const auto parent = by_id.find(s.parent_span);
-      if (parent == by_id.end() ||
-          parent->second->name.rfind("gs.", 0) != 0)
+      const SpanRecord* parent = find_span(by_id, s.parent_span);
+      if (parent == nullptr || parent->name.rfind("gs.", 0) != 0)
         violate(s.trace_id, "decision-linkage",
                 "load.decide span " + std::to_string(s.span_id) +
                     " is not parented under a gs.* span");
@@ -91,8 +137,8 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
         violate(s.trace_id, "precopy-completeness",
                 "mpvm.precopy.chunk span " + std::to_string(s.span_id) +
                     " never closed");
-      const auto parent = by_id.find(s.parent_span);
-      if (parent == by_id.end() || parent->second->name != "mpvm.precopy")
+      const SpanRecord* parent = find_span(by_id, s.parent_span);
+      if (parent == nullptr || parent->name != "mpvm.precopy")
         violate(s.trace_id, "precopy-completeness",
                 "mpvm.precopy.chunk span " + std::to_string(s.span_id) +
                     " is not parented under an mpvm.precopy span");
@@ -119,10 +165,11 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
     // ring entry (day-long runs overflow the span ring): unprovable, skip.
     // Only a serve span that claims *no* parent, or one whose (present)
     // parent is not a request, lies.
+    const SpanRecord* serve_parent =
+        s.name == "svc.serve" ? find_span(by_id, s.parent_span) : nullptr;
     if (s.name == "svc.serve" &&
-        (s.parent_span == 0 || by_id.contains(s.parent_span))) {
-      const auto parent = by_id.find(s.parent_span);
-      if (parent == by_id.end() || parent->second->name != "svc.request")
+        (s.parent_span == 0 || serve_parent != nullptr)) {
+      if (serve_parent == nullptr || serve_parent->name != "svc.request")
         violate(s.trace_id, "request-completeness",
                 "svc.serve span " + std::to_string(s.span_id) +
                     " is not parented under a svc.request span");
@@ -130,7 +177,7 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
       // (timed-out request): the open-loop frontend does not wait, but a
       // *completed* request with an unfinished serve leg is a lie.
       else if (!s.instant && s.status == SpanStatus::kOpen &&
-               parent->second->status == SpanStatus::kOk)
+               serve_parent->status == SpanStatus::kOk)
         violate(s.trace_id, "request-completeness",
                 "svc.serve span " + std::to_string(s.span_id) +
                     " still open under a completed svc.request");
@@ -144,10 +191,10 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
       bool inside = false;
       SpanId cur = s.parent_span;
       for (int depth = 0; depth < 64 && cur != 0 && !inside; ++depth) {
-        const auto it = by_id.find(cur);
-        if (it == by_id.end()) break;
-        if (it->second->name == "mpvm.migrate") inside = true;
-        cur = it->second->parent_span;
+        const SpanRecord* parent = find_span(by_id, cur);
+        if (parent == nullptr) break;
+        if (parent->name == "mpvm.migrate") inside = true;
+        cur = parent->parent_span;
       }
       if (!inside)
         violate(s.trace_id, "residual-linkage",
@@ -158,7 +205,8 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
     const bool mpvm_mig = s.name == "mpvm.migrate";
     const bool upvm_mig = s.name == "upvm.migrate";
     if (!mpvm_mig && !upvm_mig) continue;
-    const auto& trace = traces[s.trace_id];
+    const std::span<const SpanRecord* const> trace =
+        records_of(by_trace, s.trace_id);
 
     if (s.status == SpanStatus::kOk) {
       // Invariant 1: every stage exactly once, parented under this
@@ -248,23 +296,26 @@ std::vector<AuditViolation> TraceAuditor::audit() const {
   }
 
   // Invariant 3: fencing epochs monotone along every trace (creation order,
-  // which is causal order on a single tracer).
-  for (const auto& [trace_id, trace] : traces) {
-    long long prev_epoch = -1;
-    SpanId prev_span = 0;
-    for (const SpanRecord* t : trace) {
-      const std::string* e = t->attr("epoch");
-      if (e == nullptr) continue;
-      const long long epoch = std::atoll(e->c_str());
-      if (epoch < prev_epoch)
-        violate(trace_id, "epoch-monotonicity",
-                "epoch " + std::to_string(epoch) + " in span " +
-                    std::to_string(t->span_id) + " after epoch " +
-                    std::to_string(prev_epoch) + " in span " +
-                    std::to_string(prev_span));
-      prev_epoch = epoch;
-      prev_span = t->span_id;
+  // which is causal order on a single tracer), traces in id order.
+  long long prev_epoch = -1;
+  SpanId prev_span = 0;
+  for (std::size_t k = 0; k < by_trace.size(); ++k) {
+    const SpanRecord* t = by_trace[k];
+    if (k > 0 && by_trace[k - 1]->trace_id != t->trace_id) {
+      prev_epoch = -1;
+      prev_span = 0;
     }
+    const std::string* e = t->attr("epoch");
+    if (e == nullptr) continue;
+    const long long epoch = std::atoll(e->c_str());
+    if (epoch < prev_epoch)
+      violate(t->trace_id, "epoch-monotonicity",
+              "epoch " + std::to_string(epoch) + " in span " +
+                  std::to_string(t->span_id) + " after epoch " +
+                  std::to_string(prev_epoch) + " in span " +
+                  std::to_string(prev_span));
+    prev_epoch = epoch;
+    prev_span = t->span_id;
   }
 
   return out;

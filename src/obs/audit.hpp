@@ -32,12 +32,13 @@
 //      a svc.request, and may outlive the run only when its client already
 //      timed out (open-loop truncation, not a lost span).
 //
-// The auditor works on a plain vector of SpanRecords (copied out of a
-// SpanTracer, or synthesized by tests — the deliberately-broken fixtures in
+// The auditor reads a SpanTracer's records in place, or owns a plain vector
+// of SpanRecords (synthesized by tests — the deliberately-broken fixtures in
 // tests/obs/audit_test.cpp keep the checks honest).  Benches and
 // `ci/check.sh audit` fail the build when audit() is non-empty.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,8 @@ struct AuditViolation {
 
 class TraceAuditor {
  public:
+  /// Audits the tracer's ring without copying it: the tracer must outlive
+  /// the auditor, and audit() sees the ring as it is when called.
   explicit TraceAuditor(const SpanTracer& tracer);
   explicit TraceAuditor(std::vector<SpanRecord> spans);
 
@@ -65,7 +68,8 @@ class TraceAuditor {
       const std::vector<AuditViolation>& violations);
 
  private:
-  std::vector<SpanRecord> spans_;
+  const std::deque<SpanRecord>* ring_ = nullptr;  ///< a tracer's, or else
+  std::vector<SpanRecord> owned_;                 ///< records handed over
 };
 
 }  // namespace cpe::obs

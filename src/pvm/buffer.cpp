@@ -21,22 +21,35 @@ constexpr std::uint64_t byteswap(std::uint64_t v) {
   return __builtin_bswap64(v);
 }
 
-/// Encode one value: big-endian for the XDR-style default encoding, host
-/// order for raw.  (This host is little-endian x86, so kDefault really does
-/// swap — the cost PVM pays for heterogeneity.)
+/// Encode `v` into `out`: big-endian for the XDR-style default encoding,
+/// host order (a plain copy) for raw.  (This host is little-endian x86, so
+/// kDefault really does swap — the cost PVM pays for heterogeneity.)  The
+/// encoding is chosen once per array, not per value: a store through
+/// std::byte* may alias the Buffer, so a member read in the loop would be
+/// reloaded and re-tested for every value.
 template <class T>
-void encode_value(std::byte* out, T v, Encoding enc) {
-  auto bits = std::bit_cast<UintFor<T>>(v);
-  if (enc == Encoding::kDefault) bits = byteswap(bits);
-  std::memcpy(out, &bits, sizeof(bits));
+void encode_array(std::byte* out, std::span<const T> v, Encoding enc) {
+  if (enc != Encoding::kDefault) {
+    if (!v.empty()) std::memcpy(out, v.data(), v.size_bytes());
+    return;
+  }
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const UintFor<T> bits = byteswap(std::bit_cast<UintFor<T>>(v[i]));
+    std::memcpy(out + i * sizeof(T), &bits, sizeof(bits));
+  }
 }
 
 template <class T>
-[[nodiscard]] T decode_value(const std::byte* in, Encoding enc) {
-  UintFor<T> bits;
-  std::memcpy(&bits, in, sizeof(bits));
-  if (enc == Encoding::kDefault) bits = byteswap(bits);
-  return std::bit_cast<T>(bits);
+void decode_array(std::span<T> out, const std::byte* in, Encoding enc) {
+  if (enc != Encoding::kDefault) {
+    if (!out.empty()) std::memcpy(out.data(), in, out.size_bytes());
+    return;
+  }
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    UintFor<T> bits;
+    std::memcpy(&bits, in + i * sizeof(T), sizeof(bits));
+    out[i] = std::bit_cast<T>(byteswap(bits));
+  }
 }
 
 // CRC-32 (IEEE 802.3, reflected 0xEDB88320), slicing-by-16: table k maps a
@@ -83,25 +96,39 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
 }  // namespace
 
 std::uint32_t Buffer::crc32() const noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const Item& it : items_) {
-    const std::uint8_t tag = static_cast<std::uint8_t>(it.tag);
-    const std::uint64_t count = it.count;
-    crc = crc32_update(crc, &tag, sizeof(tag));
-    crc = crc32_update(crc, &count, sizeof(count));
-    crc = crc32_update(crc, payload(it), it.size);
+  if (!p_) return 0;  // no items: the empty wire image
+  if (!p_->crc) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (const Item& it : p_->items) {
+      const std::uint8_t tag = static_cast<std::uint8_t>(it.tag);
+      const std::uint64_t count = it.count;
+      crc = crc32_update(crc, &tag, sizeof(tag));
+      crc = crc32_update(crc, &count, sizeof(count));
+      crc = crc32_update(crc, payload(it), it.size);
+    }
+    p_->crc = crc ^ 0xFFFFFFFFu;
   }
-  return crc ^ 0xFFFFFFFFu;
+  return *p_->crc;
 }
 
-void Buffer::corrupt_bit(std::size_t bit_index) noexcept {
+void Buffer::corrupt_bit(std::size_t bit_index) {
   // The arena is the pack-order concatenation of every item's encoded
   // bytes, so the historical "index into the concatenation" semantics are
-  // a direct index into data_.
-  if (data_.empty()) return;
-  const std::size_t byte_index = (bit_index / 8) % data_.size();
+  // a direct index into it.
+  if (!p_ || p_->data.empty()) return;
+  Payload& p = writable();
+  const std::size_t byte_index = (bit_index / 8) % p.data.size();
   const auto mask = static_cast<std::byte>(1u << (bit_index % 8));
-  data_[byte_index] ^= mask;
+  p.data[byte_index] ^= mask;
+}
+
+Buffer::Payload& Buffer::writable() {
+  if (!p_)
+    p_ = std::make_shared<Payload>();
+  else if (p_.use_count() > 1)
+    p_ = std::make_shared<Payload>(*p_);
+  p_->crc.reset();
+  return *p_;
 }
 
 constexpr const char* Buffer::tag_name(Tag t) {
@@ -119,26 +146,22 @@ constexpr const char* Buffer::tag_name(Tag t) {
 
 template <class T>
 void Buffer::pack_scalar_array(Tag tag, std::span<const T> v) {
+  Payload& p = writable();
   const std::size_t nbytes = v.size() * sizeof(T);
-  const std::size_t off = data_.size();
-  std::byte* enc = append(nbytes);
-  for (std::size_t i = 0; i < v.size(); ++i)
-    encode_value(enc + i * sizeof(T), v[i], enc_);
-  total_bytes_ += kItemHeaderBytes + nbytes;
-  items_.push_back(Item{tag, v.size(), off, nbytes});
+  const std::size_t off = p.data.size();
+  encode_array(append(p, nbytes), v, enc_);
+  p.total_bytes += kItemHeaderBytes + nbytes;
+  p.items.push_back(Item{tag, v.size(), off, nbytes});
 }
 
 template <class T>
 void Buffer::unpack_scalar_array(Tag tag, std::span<T> out) {
-  const Item& item = expect(tag, out.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = decode_value<T>(payload(item) + i * sizeof(T), enc_);
+  decode_array(out, payload(expect(tag, out.size())), enc_);
 }
 
 const Buffer::Item& Buffer::expect(Tag tag, std::size_t count) {
-  if (cursor_ >= items_.size())
-    throw Error("Buffer: unpack past end of message");
-  const Item& item = items_[cursor_];
+  if (exhausted()) throw Error("Buffer: unpack past end of message");
+  const Item& item = p_->items[cursor_];
   if (item.tag != tag)
     throw Error(std::string("Buffer: type mismatch: packed ") +
                 tag_name(item.tag) + ", unpacking " + tag_name(tag));
@@ -168,20 +191,22 @@ void Buffer::pk_double(std::span<const double> v) {
 
 void Buffer::pk_byte(std::span<const std::byte> v) {
   // Bytes are encoding-invariant: straight copy either way.
-  const std::size_t off = data_.size();
-  std::byte* enc = append(v.size());
+  Payload& p = writable();
+  const std::size_t off = p.data.size();
+  std::byte* enc = append(p, v.size());
   if (!v.empty()) std::memcpy(enc, v.data(), v.size());
-  total_bytes_ += kItemHeaderBytes + v.size();
-  items_.push_back(Item{Tag::kByte, v.size(), off, v.size()});
+  p.total_bytes += kItemHeaderBytes + v.size();
+  p.items.push_back(Item{Tag::kByte, v.size(), off, v.size()});
 }
 
 void Buffer::pk_str(std::string_view s) {
-  const std::size_t off = data_.size();
-  std::byte* enc = append(s.size());
+  Payload& p = writable();
+  const std::size_t off = p.data.size();
+  std::byte* enc = append(p, s.size());
   if (!s.empty()) std::memcpy(enc, s.data(), s.size());
   // The XDR length word is the header's count word — no extra charge.
-  total_bytes_ += kItemHeaderBytes + s.size();
-  items_.push_back(Item{Tag::kStr, s.size(), off, s.size()});
+  p.total_bytes += kItemHeaderBytes + s.size();
+  p.items.push_back(Item{Tag::kStr, s.size(), off, s.size()});
 }
 
 void Buffer::upk_int(std::span<std::int32_t> out) {
@@ -206,9 +231,8 @@ void Buffer::upk_byte(std::span<std::byte> out) {
 }
 
 std::string Buffer::upk_str() {
-  if (cursor_ >= items_.size())
-    throw Error("Buffer: unpack past end of message");
-  const Item& item = items_[cursor_];
+  if (exhausted()) throw Error("Buffer: unpack past end of message");
+  const Item& item = p_->items[cursor_];
   if (item.tag != Tag::kStr)
     throw Error(std::string("Buffer: type mismatch: packed ") +
                 tag_name(item.tag) + ", unpacking string");
@@ -219,7 +243,7 @@ std::string Buffer::upk_str() {
 }
 
 std::size_t Buffer::next_count() const noexcept {
-  return cursor_ < items_.size() ? items_[cursor_].count : 0;
+  return exhausted() ? 0 : p_->items[cursor_].count;
 }
 
 }  // namespace cpe::pvm

@@ -5,14 +5,21 @@
 // so round-trips are functionally exercised: what a task unpacks is exactly
 // what its peer packed, byte for byte.  Unpacking is sequential and
 // type/length-checked, as PVM's is (mismatches raise Error, PVM's PvmBadMsg).
+//
+// A message body is packed once and then only read, so copies of a Buffer
+// share its encoded payload and keep only their own unpack cursor; a pack or
+// corrupt_bit() on a shared payload clones it first (DESIGN.md §13.3).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/assert.hpp"
@@ -45,16 +52,19 @@ class Buffer {
   /// only; per-item headers are accounted here.
   static constexpr std::size_t kItemHeaderBytes = 8;
 
+  /// An empty buffer allocates nothing until the first pack.
   explicit Buffer(Encoding enc = Encoding::kDefault) : enc_(enc) {}
 
   [[nodiscard]] Encoding encoding() const noexcept { return enc_; }
 
   /// Encoded size: what travels on the wire.
-  [[nodiscard]] std::size_t bytes() const noexcept { return total_bytes_; }
-  [[nodiscard]] std::size_t item_count() const noexcept {
-    return items_.size();
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return p_ ? p_->total_bytes : 0;
   }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
+  [[nodiscard]] std::size_t item_count() const noexcept {
+    return p_ ? p_->items.size() : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return item_count() == 0; }
 
   // -- Packing ------------------------------------------------------------
   void pk_int(std::span<const std::int32_t> v);
@@ -118,20 +128,23 @@ class Buffer {
   /// tag, element count, and encoded bytes in pack order.  This is the frame
   /// checksum stamped onto Message wire frames by the sending daemon
   /// (DESIGN.md §7): recomputed on receipt, a mismatch rejects the frame.
+  /// Computed once per payload and remembered with it; every pack and
+  /// corrupt_bit() forgets it, so the value always matches the bytes.
   [[nodiscard]] std::uint32_t crc32() const noexcept;
 
   /// Fault injection: flip one bit of the encoded payload (`bit_index` wraps
   /// modulo the total encoded size).  Type tags and counts are left intact —
   /// the damage is to data, detectable only by a content checksum.  No-op on
-  /// a buffer with no encoded bytes.
-  void corrupt_bit(std::size_t bit_index) noexcept;
+  /// a buffer with no encoded bytes.  Copies sharing the payload keep the
+  /// original bytes.
+  void corrupt_bit(std::size_t bit_index);
 
   /// Reset the unpack cursor to the first item.
   void rewind() noexcept { cursor_ = 0; }
 
   /// Items remaining to unpack.
   [[nodiscard]] bool exhausted() const noexcept {
-    return cursor_ >= items_.size();
+    return cursor_ >= item_count();
   }
 
  private:
@@ -146,26 +159,59 @@ class Buffer {
   };
   static constexpr const char* tag_name(Tag t);
 
-  /// Item payloads live in one contiguous arena (`data_`), appended in pack
-  /// order; each Item records only its [offset, offset+size) window.  One
+  /// Item payloads live in one contiguous arena, appended in pack order;
+  /// each Item records only its [offset, offset+size) window.  One
   /// allocation amortized across all items instead of one vector per item,
   /// and the arena IS the pack-order concatenation of encoded bytes — so
   /// crc32() and corrupt_bit() index it directly.
   struct Item {
     Tag tag;
     std::size_t count;   ///< elements
-    std::size_t offset;  ///< into data_
+    std::size_t offset;  ///< into Payload::data
     std::size_t size;    ///< encoded byte length
   };
 
+  /// Default-initializes what resize() adds, so the arena grows without
+  /// zero-filling bytes the pack is about to overwrite.
+  template <class T>
+  struct UninitAlloc : std::allocator<T> {
+    using value_type = T;
+    template <class U>
+    struct rebind {
+      using other = UninitAlloc<U>;
+    };
+    UninitAlloc() = default;
+    template <class U>
+    UninitAlloc(const UninitAlloc<U>&) noexcept {}
+    template <class U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
+  /// The encoded message, shared by every copy of the Buffer.
+  struct Payload {
+    std::vector<Item> items;
+    std::vector<std::byte, UninitAlloc<std::byte>> data;  ///< pack order
+    std::size_t total_bytes = 0;
+    std::optional<std::uint32_t> crc;  ///< crc32() once computed
+  };
+
+  /// The payload, made exclusive to this Buffer (created on the first pack,
+  /// cloned when shared) with its CRC forgotten: call before any write.
+  Payload& writable();
   /// Grow the arena by `n` bytes, returning a pointer to the new region.
-  std::byte* append(std::size_t n) {
-    const std::size_t off = data_.size();
-    data_.resize(off + n);
-    return data_.data() + off;
+  static std::byte* append(Payload& p, std::size_t n) {
+    const std::size_t off = p.data.size();
+    p.data.resize(off + n);
+    return p.data.data() + off;
   }
   [[nodiscard]] const std::byte* payload(const Item& it) const noexcept {
-    return data_.data() + it.offset;
+    return p_->data.data() + it.offset;
   }
 
   template <class T>
@@ -175,10 +221,8 @@ class Buffer {
   const Item& expect(Tag tag, std::size_t count);
 
   Encoding enc_;
-  std::vector<Item> items_;
-  std::vector<std::byte> data_;  ///< all encoded bytes, pack order
+  std::shared_ptr<Payload> p_;  ///< null until the first pack
   std::size_t cursor_ = 0;
-  std::size_t total_bytes_ = 0;
 };
 
 }  // namespace cpe::pvm

@@ -56,7 +56,8 @@ sim::Co<void> Pvmd::pump() {
     // Frame checksum (DESIGN.md §7): stamped at the wire point so injected
     // bit-corruption is detectable at the receiver.  Forwarded frames are
     // re-stamped over the same body — the CRC is per hop, the seq is
-    // end-to-end.
+    // end-to-end.  The body remembers its CRC, so the stamp, every re-stamp
+    // and the receiver's check hash an unchanged body once.
     if (sys_->wire_checksums_)
       o.msg.crc = o.msg.body ? o.msg.body->crc32() : 0;
     try {
@@ -257,7 +258,7 @@ PvmSystem::PvmSystem(sim::Engine& eng, net::Network& net,
     Message* m = std::any_cast<Message>(&payload);
     if (m == nullptr) return true;
     if (!m->body || m->body->bytes() == 0) return true;  // header-only frame
-    Buffer garbled(*m->body);
+    Buffer garbled(*m->body);  // shares the bytes until the flip clones them
     garbled.corrupt_bit(static_cast<std::size_t>(corrupt_rng_.below(
         static_cast<std::uint64_t>(garbled.bytes()) * 8)));
     m->body = std::make_shared<const Buffer>(std::move(garbled));

@@ -71,7 +71,8 @@ class Task {
 
   // -- Receiving ------------------------------------------------------------
   /// pvm_recv: blocking receive; kAny wildcards.  Returns the message and
-  /// loads a working copy of its body into rbuf() for unpacking.
+  /// loads its body into rbuf() for unpacking (a share of the payload with
+  /// its own cursor, not a copy of the bytes).
   [[nodiscard]] sim::Co<Message> recv(std::int32_t src = kAny,
                                       std::int32_t tag = kAny);
   /// pvm_trecv: receive with timeout.
@@ -83,7 +84,7 @@ class Task {
                                              std::int32_t tag);
   /// pvm_probe.
   [[nodiscard]] bool probe(std::int32_t src, std::int32_t tag) const;
-  /// Working copy of the last received body (unpack from this).
+  /// The last received body (unpack from this).
   [[nodiscard]] Buffer& rbuf();
 
   // -- Process / VM services -------------------------------------------------

@@ -170,7 +170,8 @@ long Frontend::pick_worker(std::uint64_t id) {
       long best = -1;
       for (std::size_t i = 0; i < n; ++i) {
         if (!worker_live(i)) continue;
-        if (best < 0 || outstanding_[i] < outstanding_[best]) {
+        if (best < 0 ||
+            outstanding_[i] < outstanding_[static_cast<std::size_t>(best)]) {
           best = static_cast<long>(i);
         }
       }

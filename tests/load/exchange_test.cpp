@@ -26,10 +26,10 @@ TEST_F(WorknetFixture, GossipBuildsAFullMapOnASmallWorknet) {
   EXPECT_GT(x.rounds(), 0u);
   EXPECT_GT(x.entries_merged(), 0u);
   // host2's map has host1's load (gossiped, not polled).
-  const LoadEntry* e = x.entry_at(host2, "host1");
-  ASSERT_NE(e, nullptr);
-  EXPECT_GT(e->index, 2.0);  // EWMA converging toward 4
-  EXPECT_TRUE(e->owner_active);
+  const auto e = x.entry_at(host2, host1);
+  ASSERT_TRUE(e);
+  EXPECT_GT(e->sample.index, 2.0);  // EWMA converging toward 4
+  EXPECT_TRUE(e->sample.owner_active);
 }
 
 TEST_F(WorknetFixture, OwnEntryIsAlwaysLiveInTheView) {
@@ -47,8 +47,8 @@ TEST_F(WorknetFixture, EntriesCarryTheOriginStampNotTheArrivalTime) {
   LoadExchange x(vm);
   x.start(10.0);
   eng.run_until(10.0);
-  const LoadEntry* e = x.entry_at(host2, "host1");
-  ASSERT_NE(e, nullptr);
+  const auto e = x.entry_at(host2, host1);
+  ASSERT_TRUE(e);
   EXPECT_LE(e->stamp, eng.now());
   EXPECT_GE(e->stamp, 0.0);
 }
@@ -66,8 +66,8 @@ TEST_F(WorknetFixture, CrashedHostEntriesAgeOutOfTheMaps) {
   eng.run_until(40.0);
   // sparc stopped refreshing at t=5; by t=40 its last entry is far past
   // 3x the staleness bound and must have been garbage-collected.
-  EXPECT_EQ(x.entry_at(host1, "sparc1"), nullptr);
-  EXPECT_EQ(x.entry_at(host2, "sparc1"), nullptr);
+  EXPECT_FALSE(x.entry_at(host1, sparc));
+  EXPECT_FALSE(x.entry_at(host2, sparc));
 }
 
 TEST_F(WorknetFixture, CrashedHostNeitherSendsNorWedgesTheExchange) {
@@ -80,8 +80,8 @@ TEST_F(WorknetFixture, CrashedHostNeitherSendsNorWedgesTheExchange) {
   sim::spawn(eng, driver(&eng, &host2));
   eng.run_until(20.0);  // must not throw DeliveryError out of the loops
   // The survivors still gossip to each other.
-  EXPECT_NE(x.entry_at(host1, "sparc1"), nullptr);
-  EXPECT_NE(x.entry_at(sparc, "host1"), nullptr);
+  EXPECT_TRUE(x.entry_at(host1, sparc));
+  EXPECT_TRUE(x.entry_at(sparc, host1));
 }
 
 TEST_F(WorknetFixture, GossipUsesUnreliableDatagrams) {
@@ -117,8 +117,8 @@ TEST_F(WorknetFixture, GossipIsChargedItsHeaderBytesOnly) {
 }
 
 TEST(LoadExchangeHosts, TwoHostsWithOneNameAreRejected) {
-  // Entries travel by host id and are looked up by name, so a name must
-  // stand for one host.
+  // Entries travel by host id, but names break selection ties and order
+  // view(), so a name must stand for one host.
   sim::Engine e;
   net::Network n(e);
   os::Host a(e, n, os::HostConfig("twin", "HPPA", 1.0));
@@ -149,18 +149,22 @@ TEST_F(WorknetFixture, ExchangeLeavesNoHostObserverBehind) {
   LoadExchange y(vm);
   y.start(10.0);
   eng.run_until(10.0);
-  EXPECT_NE(y.entry_at(host1, "host2"), nullptr);
+  EXPECT_TRUE(y.entry_at(host1, host2));
 }
 
 TEST_F(WorknetFixture, OwnEntryIsAbsentFromTheMapUntilTheFirstRound) {
   LoadExchange x(vm);
-  EXPECT_EQ(x.entry_at(host1, "host1"), nullptr);
+  EXPECT_FALSE(x.entry_at(host1, host1));
   x.start(5.0);
   eng.run_until(5.0);
-  const LoadEntry* own = x.entry_at(host1, "host1");
-  ASSERT_NE(own, nullptr);
-  EXPECT_EQ(own->host, "host1");
-  EXPECT_EQ(x.entry_at(host1, "no-such-host"), nullptr);
+  const auto own = x.entry_at(host1, host1);
+  ASSERT_TRUE(own);
+  EXPECT_GE(own->stamp, 0.0);
+  EXPECT_LE(own->stamp, eng.now());
+  // A host outside the VM has no slot.
+  const os::Host stranger(eng, net, os::HostConfig("stranger", "HPPA", 1.0));
+  EXPECT_FALSE(x.entry_at(host1, stranger));
+  EXPECT_FALSE(x.entry_at(stranger, host1));
 }
 
 TEST(GossipAdversary, DuplicatedGossipMergesExactlyOnce) {

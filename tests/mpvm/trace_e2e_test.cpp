@@ -58,15 +58,20 @@ TEST_F(MpvmTraceTest, MigrationProducesOneTraceWithOrderedStages) {
     ASSERT_NE(s, nullptr) << name;
     EXPECT_EQ(s->parent_span, root->span_id) << name;
     EXPECT_EQ(s->status, obs::SpanStatus::kOk) << name;
-    if (prev != nullptr) EXPECT_GE(s->start, prev->start) << name;
+    if (prev != nullptr) {
+      EXPECT_GE(s->start, prev->start) << name;
+    }
     prev = s;
   }
   EXPECT_EQ(stage_in(root->trace_id, "mpvm.freeze")->host, "host1");
   EXPECT_EQ(stage_in(root->trace_id, "mpvm.restart")->host, "host2");
 
   // One migration, one trace: every mpvm.* span belongs to it.
-  for (const auto& s : vm.spans().spans())
-    if (s.name.rfind("mpvm.", 0) == 0) EXPECT_EQ(s.trace_id, root->trace_id);
+  for (const auto& s : vm.spans().spans()) {
+    if (s.name.rfind("mpvm.", 0) == 0) {
+      EXPECT_EQ(s.trace_id, root->trace_id);
+    }
+  }
 
   obs::TraceAuditor auditor(vm.spans());
   EXPECT_TRUE(auditor.ok()) << obs::TraceAuditor::format(auditor.audit());

@@ -2,11 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
 namespace cpe::opt {
 namespace {
+
+/// checksum() recomputed from the wire image: the sum over exemplars of
+/// FNV-1a over the 64 feature bit patterns, then the category.
+std::uint64_t fnv_recomputed(const ExemplarSet& s) {
+  const std::span<const float> wire = s.to_wire();
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const float* e = wire.data() + i * ExemplarSet::kStride;
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::size_t d = 0; d < ExemplarSet::kStride; ++d) {
+      h ^= d < kInputDim ? std::bit_cast<std::uint32_t>(e[d])
+                         : static_cast<std::uint32_t>(e[d]);
+      h *= 1099511628211ull;
+    }
+    sum += h;
+  }
+  return sum;
+}
 
 TEST(ExemplarSet, SynthesizeSizes) {
   sim::Rng rng(1);
@@ -72,17 +91,24 @@ TEST(ExemplarSet, TakeBackMovesFlags) {
 }
 
 TEST(ExemplarSet, SplitConservesEverything) {
+  // A master packs each slave's share as a window of the wire image.
   sim::Rng rng(7);
-  ExemplarSet s = ExemplarSet::synthesize(101, rng);
-  const std::uint64_t sum_before = s.checksum();
+  const ExemplarSet s = ExemplarSet::synthesize(101, rng);
   const std::size_t shares[] = {34, 34, 33};
-  std::vector<ExemplarSet> parts = s.split(shares);
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0].size(), 34u);
-  EXPECT_EQ(parts[2].size(), 33u);
   std::uint64_t sum_after = 0;
-  for (const auto& p : parts) sum_after += p.checksum();
-  EXPECT_EQ(sum_after, sum_before);  // checksums are additive
+  std::size_t first = 0;
+  for (const std::size_t count : shares) {
+    const std::span<const float> window = s.to_wire(first, count);
+    EXPECT_EQ(window.data(), s.features(first).data());  // a view, no copy
+    const ExemplarSet part = ExemplarSet::from_wire(window);
+    ASSERT_EQ(part.size(), count);
+    EXPECT_EQ(part.category(count - 1), s.category(first + count - 1));
+    sum_after += part.checksum();
+    first += count;
+  }
+  EXPECT_EQ(first, s.size());
+  EXPECT_EQ(sum_after, s.checksum());  // checksums are additive
+  EXPECT_THROW((void)s.to_wire(100, 2), ContractError);
 }
 
 TEST(ExemplarSet, ProcessedFlagsLifecycle) {
@@ -179,6 +205,22 @@ TEST(ExemplarSet, FromWireAdoptsTheVector) {
   EXPECT_EQ(back.to_wire().data(), storage);
   EXPECT_EQ(back.checksum(), s.checksum());
   EXPECT_EQ(back.unprocessed_count(), 9u);
+}
+
+TEST(ExemplarSet, RememberedChecksumEqualsTheRecomputation) {
+  sim::Rng rng(13);
+  ExemplarSet s = ExemplarSet::synthesize(200, rng);
+  EXPECT_EQ(s.checksum(), fnv_recomputed(s));  // computed by synthesize
+  ExemplarSet tail = s.take_back(70);
+  EXPECT_EQ(s.checksum(), fnv_recomputed(s));
+  EXPECT_EQ(tail.checksum(), fnv_recomputed(tail));
+  ExemplarSet more = ExemplarSet::synthesize(30, rng);
+  tail.append(more);  // both checksums known: they add
+  EXPECT_EQ(tail.checksum(), fnv_recomputed(tail));
+  ExemplarSet adopted = ExemplarSet::from_wire(s.to_wire());
+  adopted.append(tail);  // one unknown: recomputed on demand
+  EXPECT_EQ(adopted.size(), 230u);
+  EXPECT_EQ(adopted.checksum(), fnv_recomputed(adopted));
 }
 
 TEST(ExemplarSet, AppendAccumulates) {

@@ -134,7 +134,7 @@ TEST_P(FlagBookkeeping, MatchesTheFlagArrayAndTheScanFromZero) {
         t.ref.append(other);
         break;
       }
-      case 4: {  // split into 1-4 shares and carry on with one of them
+      case 4: {  // take 1-4 shares off the back, carry on with one of them
         std::vector<std::size_t> shares(1 + rng.below(4));
         std::size_t left = n;
         for (std::size_t k = 0; k + 1 < shares.size(); ++k) {
@@ -142,8 +142,12 @@ TEST_P(FlagBookkeeping, MatchesTheFlagArrayAndTheScanFromZero) {
           left -= shares[k];
         }
         shares.back() = left;
-        std::vector<ExemplarSet> fast_parts = t.fast.split(shares);
-        std::vector<ExemplarSet> ref_parts = t.ref.split(shares);
+        std::vector<ExemplarSet> fast_parts(shares.size());
+        std::vector<ExemplarSet> ref_parts(shares.size());
+        for (std::size_t k = shares.size(); k-- > 0;) {
+          fast_parts[k] = t.fast.take_back(shares[k]);
+          ref_parts[k] = t.ref.take_back(shares[k]);
+        }
         expect_bookkeeping(t.fast);
         EXPECT_TRUE(t.fast.empty());
         const std::size_t keep = rng.below(shares.size());

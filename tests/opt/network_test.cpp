@@ -43,7 +43,8 @@ TEST(Network, GradientMatchesFiniteDifference) {
     plus.mutable_weights()[wi] += eps;
     minus.mutable_weights()[wi] -= eps;
     const double fd = (plus.loss_on(set) - minus.loss_on(set)) *
-                      static_cast<double>(set.size()) / (2.0 * eps);
+                      static_cast<double>(set.size()) /
+                      (2.0 * static_cast<double>(eps));
     EXPECT_NEAR(grad[wi], fd, 0.02 + 0.05 * std::abs(fd)) << "weight " << wi;
   }
 }
@@ -73,6 +74,26 @@ TEST(Network, ChecksumDetectsWeightChanges) {
   EXPECT_NE(a.checksum(), c.checksum());
   a.mutable_weights()[0] += 1.0f;
   EXPECT_NE(a.checksum(), b.checksum());
+}
+
+TEST(Network, RememberedChecksumFollowsEveryEdit) {
+  // A network adopted from the same weights has never hashed them.
+  const auto fresh = [](const Network& n) {
+    return Network{std::vector<float>(n.weights().begin(), n.weights().end())}
+        .checksum();
+  };
+  Network net(4);
+  EXPECT_EQ(net.checksum(), fresh(net));
+  Network::CgState cg;
+  const std::vector<float> grad(Network::weight_count(), 0.01f);
+  std::uint64_t before = net.checksum();
+  net.apply_cg_step(grad, cg);
+  EXPECT_NE(net.checksum(), before);
+  EXPECT_EQ(net.checksum(), fresh(net));
+  before = net.checksum();
+  net.mutable_weights()[5] += 0.5f;
+  EXPECT_NE(net.checksum(), before);
+  EXPECT_EQ(net.checksum(), fresh(net));
 }
 
 TEST(Network, AdoptedWeightsRoundTrip) {

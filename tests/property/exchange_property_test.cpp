@@ -9,6 +9,7 @@
 #include <any>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -278,13 +279,15 @@ std::string first_difference(const World& wx, const load::LoadExchange& x,
         return "view(" + hx.name() + ")[" + std::to_string(k) + "] is " +
                describe(vx[k]) + ", reference " + describe(vr[k]);
     for (const auto& about : wx.hosts) {
-      const LoadEntry* ex = x.entry_at(hx, about->name());
+      std::optional<LoadEntry> ex;
+      if (const auto slot = x.entry_at(hx, *about))
+        ex.emplace(about->name(), slot->sample, slot->stamp);
       const LoadEntry* er = r.entry_at(hr, about->name());
-      if ((ex == nullptr) != (er == nullptr))
+      if (ex.has_value() != (er != nullptr))
         return "entry_at(" + hx.name() + ", " + about->name() + ") is " +
-               (ex == nullptr ? "null" : describe(*ex)) + ", reference " +
+               (ex ? describe(*ex) : "null") + ", reference " +
                (er == nullptr ? "null" : describe(*er));
-      if (ex != nullptr && !same(*ex, *er))
+      if (ex && !same(*ex, *er))
         return "entry_at(" + hx.name() + ", " + about->name() + ") is " +
                describe(*ex) + ", reference " + describe(*er);
     }
@@ -316,7 +319,7 @@ void expect_equivalent(int n, std::size_t cap, Fabric fabric, unsigned seed) {
   ReferenceExchange r(wr.vm, policy);
   // A host's own entry enters its map at its first round.
   for (const auto& h : wx.hosts)
-    ASSERT_EQ(x.entry_at(*h, h->name()), nullptr) << h->name();
+    ASSERT_FALSE(x.entry_at(*h, *h)) << h->name();
   x.start(horizon);
   r.start(horizon);
 
@@ -327,16 +330,16 @@ void expect_equivalent(int n, std::size_t cap, Fabric fabric, unsigned seed) {
     if (t == 1) {
       // Every agent has had its first round by now.
       for (const auto& h : wx.hosts)
-        EXPECT_NE(x.entry_at(*h, h->name()), nullptr) << h->name();
+        EXPECT_TRUE(x.entry_at(*h, *h)) << h->name();
     }
     if (fabric == Fabric::kCrashRecover && t == 15) {
       // Down for more than 3x the staleness bound: aged out everywhere.
       for (const int c : World::crashed(n)) {
-        const std::string gone = "h" + std::to_string(c);
+        const os::Host& gone = *wx.hosts[static_cast<std::size_t>(c)];
         for (const auto& h : wx.hosts) {
           if (h->up()) {
-            EXPECT_EQ(x.entry_at(*h, gone), nullptr)
-                << gone << " still in " << h->name() << "'s map";
+            EXPECT_FALSE(x.entry_at(*h, gone))
+                << gone.name() << " still in " << h->name() << "'s map";
           }
         }
       }

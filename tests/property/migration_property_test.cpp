@@ -102,7 +102,8 @@ TEST_P(ConcurrentMigrationSweep, DrainsWithoutDeadlockLossOrDuplication) {
     }
   });
 
-  fault::FaultPlan plan(eng, /*seed=*/k * 10 + static_cast<int>(fault));
+  fault::FaultPlan plan(eng, /*seed=*/static_cast<std::uint64_t>(k) * 10 +
+                                 static_cast<std::uint64_t>(fault));
   os::Host& d1 = *dests[0];  // ranked first: migrations hit it before faults
   switch (fault) {
     case FaultKind::kNone:
@@ -163,9 +164,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(FaultKind::kNone, FaultKind::kCrash,
                                          FaultKind::kFreeze,
                                          FaultKind::kPartition)),
-    [](const ::testing::TestParamInfo<std::tuple<int, FaultKind>>& info) {
-      return "K" + std::to_string(std::get<0>(info.param)) +
-             fault_name(std::get<1>(info.param));
+    [](const ::testing::TestParamInfo<std::tuple<int, FaultKind>>& p) {
+      return "K" + std::to_string(std::get<0>(p.param)) +
+             fault_name(std::get<1>(p.param));
     });
 
 }  // namespace

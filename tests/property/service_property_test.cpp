@@ -90,7 +90,9 @@ TEST_P(ServiceTailSweep, ExactlyOnceAndCleanAudit) {
   EXPECT_EQ(r.pending, 0u);
   EXPECT_EQ(r.audit_violations, 0u) << r.audit_report;
   EXPECT_GT(r.spans, 0u);
-  if (c.fault != FaultKind::kNone) EXPECT_GT(r.faults_injected, 0u);
+  if (c.fault != FaultKind::kNone) {
+    EXPECT_GT(r.faults_injected, 0u);
+  }
   // The serving layer must never trick the placement layer into thrash.
   EXPECT_EQ(r.thrash_violations, 0u);
 }

@@ -147,6 +147,15 @@ TEST(BufferCrc, EqualsTheBytewiseReferenceOverSeededBuffers) {
       }
       tail_seen[raw.size() % 16] = true;
       most_blocks = std::max(most_blocks, raw.size() / 16);
+      // The CRC is remembered between calls: every pack must forget it.
+      ASSERT_EQ(b.crc32(), ref.value()) << "seed " << seed << " item " << k;
+    }
+    ASSERT_EQ(b.crc32(), ref.value()) << "seed " << seed;
+    // A copy shares the remembered CRC; a flip in it is a fresh payload.
+    Buffer flipped(b);
+    flipped.corrupt_bit(rng.below(8 * b.bytes() + 1));
+    if (flipped.bytes() > b.item_count() * Buffer::kItemHeaderBytes) {
+      ASSERT_NE(flipped.crc32(), ref.value()) << "seed " << seed;
     }
     ASSERT_EQ(b.crc32(), ref.value()) << "seed " << seed;
   }
