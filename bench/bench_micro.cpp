@@ -80,7 +80,8 @@ void BM_BufferRoundTripFloat(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size() * 4));
 }
-BENCHMARK(BM_BufferRoundTripFloat)->Arg(10'000);
+// 2.6 M floats are 10.4 MB, half of the paper's largest Opt data set.
+BENCHMARK(BM_BufferRoundTripFloat)->Arg(10'000)->Arg(2'600'000);
 
 void BM_MailboxMatch(benchmark::State& state) {
   sim::Engine eng;
@@ -134,6 +135,22 @@ void BM_SimulatedPingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatedPingPong)->Arg(200);
+
+void BM_ExemplarSynthesize(benchmark::State& state) {
+  // 40,000 exemplars are 10.4 MB: half of the paper's largest (20.8 MB) set.
+  sim::Rng rng(1);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const opt::ExemplarSet set = opt::ExemplarSet::synthesize(n, rng);
+    benchmark::DoNotOptimize(set.to_wire().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(n * calib::OptWorkload::exemplar_bytes));
+}
+BENCHMARK(BM_ExemplarSynthesize)->Arg(40'000);
 
 void BM_OptGradientRealMath(benchmark::State& state) {
   sim::Rng rng(1);

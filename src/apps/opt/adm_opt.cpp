@@ -8,16 +8,18 @@ namespace {
 /// Pack an exemplar batch with its processed flags (they must travel, or a
 /// receiver would reprocess work already counted — §4.3.1).
 void pack_move(pvm::Buffer& b, const ExemplarSet& batch) {
-  b.pk_float(batch.to_wire());
+  // Flags first: the arena is sized to its first item, so flags packed
+  // after the floats would regrow and copy the whole float image.
   b.pk_byte(std::as_bytes(std::span(batch.flags_image())));
+  b.pk_float(batch.to_wire());
 }
 
 ExemplarSet unpack_move(pvm::Buffer& b) {
-  std::vector<float> wire(b.next_count());
-  b.upk_float(wire);
-  ExemplarSet batch = ExemplarSet::from_wire(std::move(wire));
   std::vector<std::uint8_t> flags(b.next_count());
   b.upk_byte(std::as_writable_bytes(std::span(flags)));
+  ExemplarSet::Wire wire(b.next_count());
+  b.upk_float(wire);
+  ExemplarSet batch = ExemplarSet::from_wire(std::move(wire));
   batch.load_flags(flags);
   return batch;
 }
@@ -337,7 +339,7 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
 
   // Initial slice.
   co_await t.recv(pvm::kAny, kTagData);
-  std::vector<float> wire(t.rbuf().next_count());
+  ExemplarSet::Wire wire(t.rbuf().next_count());
   t.rbuf().upk_float(wire);
   ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
   t.process().image().data_bytes = mine.bytes();

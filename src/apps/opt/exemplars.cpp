@@ -37,7 +37,6 @@ struct ExemplarHash {
 }  // namespace
 
 ExemplarSet ExemplarSet::synthesize(std::size_t n, sim::Rng& rng) {
-  static_assert(kInputDim % 2 == 0, "features are drawn in normal pairs");
   ExemplarSet set;
   set.wire_.resize(n * kStride);
   set.processed_.assign(n, 0);
@@ -52,11 +51,9 @@ ExemplarSet ExemplarSet::synthesize(std::size_t n, sim::Rng& rng) {
     const std::uint64_t c = rng.below(kClasses);
     const double* center = kCenters.data() + c * kDim;
     float* e = set.wire_.data() + i * kStride;
-    for (std::size_t d = 0; d < kDim; d += 2) {
-      const auto [z0, z1] = rng.normal_pair();
-      e[d] = static_cast<float>(center[d] + kClusterSigma * z0);
-      e[d + 1] = static_cast<float>(center[d + 1] + kClusterSigma * z1);
-    }
+    for (std::size_t d = 0; d < kDim; ++d)
+      e[d] = static_cast<float>(center[d] +
+                                kClusterSigma * rng.normal_ziggurat());
     e[kDim] = static_cast<float>(c);
     ExemplarHash h;
     for (std::size_t d = 0; d < kDim; ++d) h.mix(e[d]);
@@ -108,7 +105,7 @@ void ExemplarSet::append(const ExemplarSet& other) {
                     other.processed_.end());
 }
 
-ExemplarSet ExemplarSet::from_wire(std::vector<float>&& wire) {
+ExemplarSet ExemplarSet::from_wire(Wire&& wire) {
   CPE_EXPECTS(wire.size() % kStride == 0);
   ExemplarSet set;
   set.wire_ = std::move(wire);

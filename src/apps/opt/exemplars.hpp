@@ -18,6 +18,7 @@
 
 #include "calib/costs.hpp"
 #include "sim/random.hpp"
+#include "sim/uninit_alloc.hpp"
 
 namespace cpe::opt {
 
@@ -30,6 +31,10 @@ class ExemplarSet {
   /// then the category.
   static constexpr std::size_t kStride = calib::OptWorkload::exemplar_floats;
   static_assert(kStride == static_cast<std::size_t>(kInputDim) + 1);
+  /// Storage for a wire image.  Its sized constructor and resize() leave
+  /// the floats uninitialized: synthesize() and every receiver that unpacks
+  /// a share overwrite them all at once, so zero-filling first is waste.
+  using Wire = sim::UninitVector<float>;
 
   ExemplarSet() = default;
   ExemplarSet(const ExemplarSet&) = default;
@@ -138,12 +143,12 @@ class ExemplarSet {
     CPE_EXPECTS(first <= size() && count <= size() - first);
     return to_wire().subspan(first * kStride, count * kStride);
   }
-  /// Build a set from a wire image, all flags clear.  The vector overload
+  /// Build a set from a wire image, all flags clear.  The Wire overload
   /// adopts the unpacked image instead of copying it.
   static ExemplarSet from_wire(std::span<const float> wire) {
-    return from_wire(std::vector<float>(wire.begin(), wire.end()));
+    return from_wire(Wire(wire.begin(), wire.end()));
   }
-  static ExemplarSet from_wire(std::vector<float>&& wire);
+  static ExemplarSet from_wire(Wire&& wire);
 
   /// Order-insensitive content hash: redistribution must conserve the
   /// multiset of exemplars (DESIGN.md invariant 6).  Flags excluded.
@@ -156,7 +161,7 @@ class ExemplarSet {
   /// flag array.
   void recount_flags();
 
-  std::vector<float> wire_;              // size * kStride, wire layout
+  Wire wire_;                            // size * kStride, wire layout
   std::vector<std::uint8_t> processed_;  // size
   std::size_t unprocessed_ = 0;
   std::size_t first_unprocessed_ = 0;

@@ -96,7 +96,7 @@ sim::Co<void> PvmOpt::master_main(pvm::Task& t) {
 sim::Co<void> PvmOpt::slave_main(pvm::Task& t) {
   // Receive my slice of the exemplars.
   co_await t.recv(pvm::kAny, kTagData);
-  std::vector<float> wire(t.rbuf().next_count());
+  ExemplarSet::Wire wire(t.rbuf().next_count());
   t.rbuf().upk_float(wire);
   ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
   // The process image now holds the slice plus net + gradient buffers —

@@ -81,7 +81,7 @@ sim::Co<void> SpmdOpt::master_main(upvm::Ulp& u) {
 
 sim::Co<void> SpmdOpt::slave_main(upvm::Ulp& u) {
   co_await u.recv(0, kTagData);
-  std::vector<float> wire(u.rbuf().next_count());
+  ExemplarSet::Wire wire(u.rbuf().next_count());
   u.rbuf().upk_float(wire);
   ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
   u.set_data_bytes(mine.bytes());

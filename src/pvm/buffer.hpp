@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "sim/assert.hpp"
+#include "sim/uninit_alloc.hpp"
 
 namespace cpe::pvm {
 
@@ -171,32 +171,11 @@ class Buffer {
     std::size_t size;    ///< encoded byte length
   };
 
-  /// Default-initializes what resize() adds, so the arena grows without
-  /// zero-filling bytes the pack is about to overwrite.
-  template <class T>
-  struct UninitAlloc : std::allocator<T> {
-    using value_type = T;
-    template <class U>
-    struct rebind {
-      using other = UninitAlloc<U>;
-    };
-    UninitAlloc() = default;
-    template <class U>
-    UninitAlloc(const UninitAlloc<U>&) noexcept {}
-    template <class U>
-    void construct(U* p) noexcept {
-      ::new (static_cast<void*>(p)) U;
-    }
-    template <class U, class... Args>
-    void construct(U* p, Args&&... args) {
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    }
-  };
-
   /// The encoded message, shared by every copy of the Buffer.
   struct Payload {
     std::vector<Item> items;
-    std::vector<std::byte, UninitAlloc<std::byte>> data;  ///< pack order
+    /// Pack order; resize() leaves the new bytes for the encoder.
+    sim::UninitVector<std::byte> data;
     std::size_t total_bytes = 0;
     std::optional<std::uint32_t> crc;  ///< crc32() once computed
   };

@@ -6,10 +6,12 @@
 // (DESIGN.md §6.8) requires.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <numbers>
-#include <utility>
 
 #include "sim/assert.hpp"
 
@@ -87,19 +89,27 @@ class Rng {
     return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
   }
 
-  /// Two independent standard normals via Marsaglia's polar method: no trig,
-  /// one log and one sqrt per pair.  A second sampler rather than a faster
-  /// normal(): existing streams (Opt's initial weights among them) must keep
-  /// their Box-Muller values.
-  std::pair<double, double> normal_pair() {
-    double u = 0, v = 0, s = 0;
-    do {
-      u = 2.0 * uniform() - 1.0;
-      v = 2.0 * uniform() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double f = std::sqrt(-2.0 * std::log(s) / s);
-    return {u * f, v * f};
+  /// Standard normal via a 256-layer ziggurat (Marsaglia & Tsang 2000): one
+  /// next_u64() and one table compare on about 98.5% of draws, no log.  Its
+  /// bits give the layer (0-7), the sign (8) and a 53-bit uniform (11-63);
+  /// the sign is ORed into the result, because a branch on a random bit
+  /// mispredicts half the time.  The base layer's tail falls back to
+  /// Marsaglia's exponential method, the wedges to one exp.  A second
+  /// sampler rather than a faster normal(): existing streams (Opt's initial
+  /// weights among them) must keep their Box-Muller values.
+  double normal_ziggurat() {
+    const ZigguratTables& t = ziggurat_tables();
+    for (;;) {
+      const std::uint64_t bits = next_u64();
+      const std::size_t i = bits & 0xFFu;
+      const std::uint64_t sign = (bits & 0x100u) << 55;
+      const double x = static_cast<double>(bits >> 11) * 0x1.0p-53 * t.x[i];
+      if (x < t.x[i + 1]) [[likely]]
+        return with_sign(x, sign);
+      if (i == 0) return with_sign(kZigguratR + ziggurat_tail(), sign);
+      if (t.f[i] + (t.f[i + 1] - t.f[i]) * uniform() < std::exp(-0.5 * x * x))
+        return with_sign(x, sign);
+    }
   }
 
   /// True with probability p.
@@ -113,6 +123,53 @@ class Rng {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
+
+  // The published 256-layer constants: where the base layer's tail starts,
+  // and the area of every layer under f(x) = exp(-x^2/2).
+  static constexpr double kZigguratR = 3.6541528853610088;
+  static constexpr double kZigguratV = 4.92867323399e-3;
+
+  /// Layer i spans [0, x[i]) between heights f[i] = f(x[i]) and f[i + 1];
+  /// x[0] = V / f(R) is the base layer's virtual width, x[1] = R and
+  /// x[256] = 0.  x < x[i + 1] lies under the curve.
+  struct ZigguratTables {
+    std::array<double, 257> x;
+    std::array<double, 257> f;
+  };
+  static const ZigguratTables& ziggurat_tables() {
+    static const ZigguratTables t = [] {
+      ZigguratTables z{};
+      const double fr = std::exp(-0.5 * kZigguratR * kZigguratR);
+      z.x[0] = kZigguratV / fr;
+      z.x[1] = kZigguratR;
+      z.f[1] = fr;  // the base layer spans heights [0, f(R)]
+      for (std::size_t i = 2; i < 256; ++i) {
+        z.x[i] =
+            std::sqrt(-2.0 * std::log(kZigguratV / z.x[i - 1] + z.f[i - 1]));
+        z.f[i] = std::exp(-0.5 * z.x[i] * z.x[i]);
+      }
+      z.x[256] = 0.0;
+      z.f[256] = 1.0;
+      return z;
+    }();
+    return t;
+  }
+
+  /// The excess over R of a draw from the tail beyond R (Marsaglia 1964).
+  double ziggurat_tail() {
+    double a = 0, b = 0;
+    do {
+      a = -std::log(1.0 - uniform()) / kZigguratR;
+      b = -std::log(1.0 - uniform());
+    } while (b + b < a * a);
+    return a;
+  }
+
+  static double with_sign(double magnitude, std::uint64_t sign_bit) {
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(magnitude) |
+                                 sign_bit);
+  }
+
   std::uint64_t s_[4]{};
 };
 

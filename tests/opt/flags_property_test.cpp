@@ -172,10 +172,9 @@ TEST_P(FlagBookkeeping, MatchesTheFlagArrayAndTheScanFromZero) {
         t.fast = ExemplarSet::from_wire(t.fast.to_wire());
         t.ref = ExemplarSet::from_wire(t.ref.to_wire());
         break;
-      case 7: {  // from_wire(vector&&): adopts the image, flags clear
-        std::vector<float> wf(t.fast.to_wire().begin(),
-                              t.fast.to_wire().end());
-        std::vector<float> wr(t.ref.to_wire().begin(), t.ref.to_wire().end());
+      case 7: {  // from_wire(Wire&&): adopts the image, flags clear
+        ExemplarSet::Wire wf(t.fast.to_wire().begin(), t.fast.to_wire().end());
+        ExemplarSet::Wire wr(t.ref.to_wire().begin(), t.ref.to_wire().end());
         t.fast = ExemplarSet::from_wire(std::move(wf));
         t.ref = ExemplarSet::from_wire(std::move(wr));
         break;
@@ -211,7 +210,7 @@ TEST(AdmFlagBookkeeping, ChunkMoveAppendChunk) {
   // The batch crosses the wire the way unpack_move rebuilds it: features
   // adopted from the unpacked image, then the shipped flags.
   const auto ship = [](const ExemplarSet& batch) {
-    std::vector<float> wire(batch.to_wire().begin(), batch.to_wire().end());
+    ExemplarSet::Wire wire(batch.to_wire().begin(), batch.to_wire().end());
     ExemplarSet arrived = ExemplarSet::from_wire(std::move(wire));
     arrived.load_flags(batch.flags_image());
     return arrived;
