@@ -348,9 +348,13 @@ int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   // Full mode is the acceptance run: timer_churn (the production profile the
   // rework targeted) must show >= 5x, hold (pure push/pop, no cancels) must
-  // hold its 2.5x floor.  A million pending events is the 1024-host
-  // simulation's regime, where the legacy heap's O(log n) pops are all cache
-  // misses.  Full-mode churn uses 60 rounds over 2.5 horizons -> ~24:1
+  // hold its 2.5x floor.  A million pending events is a stress size, not a
+  // regime any simulation here reaches: the event queue of the full
+  // 1024-host bench_load_scale peaks at 9,289 entries (cancelled ones
+  // included), that of the full bench_service_tail at 1,656, and the
+  // perfbench workloads hold 1,549 pending events or fewer.  At a million
+  // the legacy heap's O(log n) pops are all cache misses, which is what the
+  // floors gate.  Full-mode churn uses 60 rounds over 2.5 horizons -> ~24:1
   // stale:live in the legacy heap.
   const double hold_limit = smoke ? 1.5 : 2.5;
   const double churn_limit = smoke ? 1.5 : 5.0;

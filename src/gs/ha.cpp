@@ -8,6 +8,26 @@ namespace cpe::gs {
 
 namespace {
 
+/// A follower calls an election after this many missed heartbeat
+/// intervals...
+constexpr double kElectionTimeoutBeats = 1.2;
+/// ...plus a per-replica deterministic jitter of up to this fraction of a
+/// heartbeat, plus an id-based stagger of kElectionStaggerBeats per replica.
+/// The stagger must exceed the duty-tick granularity (half a heartbeat) plus
+/// the jitter range, or two followers can time out in the same tick and
+/// split the vote — which is exactly a heartbeat interval of failover
+/// latency wasted.
+constexpr double kElectionJitterBeats = 0.1;
+constexpr double kElectionStaggerBeats = 0.7;
+/// A candidate that has not won after this many heartbeat intervals reverts
+/// to follower and waits out a fresh election timeout.
+constexpr double kVoteTimeoutBeats = 1.0;
+/// A non-leader buffers up to this many owner events for replay if it wins
+/// the next election; beyond the cap the oldest is evicted and counted in
+/// GsReplica::pending_evictions — each eviction is a decision that can be
+/// missed across a failover.
+constexpr std::size_t kPendingEventCap = 32;
+
 /// Modelled wire size of a replica-to-replica message: a fixed header plus
 /// the serialized durable state on heartbeats.
 std::size_t wire_bytes(const GsWireMessage& m) {
@@ -95,8 +115,7 @@ void GsReplica::duty_tick() {
       if (now - last_heartbeat_ >= election_timeout_) start_election();
       break;
     case ReplicaRole::kCandidate:
-      if (now - election_started_ >=
-          ha_->policy().vote_timeout_beats * hb) {
+      if (now - election_started_ >= kVoteTimeoutBeats * hb) {
         // Split vote or unreachable peers: back off and re-arm the
         // election timer rather than spinning the term counter.
         role_ = ReplicaRole::kFollower;
@@ -114,7 +133,7 @@ bool GsReplica::majority_lease_held() const {
   // deposed leader would keep acting while its successor is already
   // elected.
   const sim::Time lease =
-      ha_->policy().election_timeout_beats * ha_->policy().heartbeat_interval;
+      kElectionTimeoutBeats * ha_->policy().heartbeat_interval;
   int alive = 1;  // self
   for (int i = 0; i < ha_->size(); ++i) {
     if (i == id_) continue;
@@ -184,7 +203,7 @@ void GsReplica::on_owner_event(const os::OwnerEvent& ev) {
   }
   // Not our decision to make (yet): hold on to it in case the cluster is
   // between leaders and we are the one who ends up winning the election.
-  if (pending_events_.size() >= ha_->policy().pending_event_cap) {
+  if (pending_events_.size() >= kPendingEventCap) {
     ++pending_evictions_;
     pending_events_.erase(pending_events_.begin());
   }
@@ -367,9 +386,9 @@ HaScheduler::HaScheduler(pvm::PvmSystem& vm, std::vector<os::Host*> hosts,
     // whole jitter range — otherwise two followers time out in the same
     // tick, split the vote, and the cluster burns a full election round.
     const sim::Time timeout =
-        policy_.election_timeout_beats * hb +
-        rng.uniform(0.0, policy_.election_jitter_beats * hb) +
-        static_cast<double>(i) * policy_.election_stagger_beats * hb;
+        kElectionTimeoutBeats * hb +
+        rng.uniform(0.0, kElectionJitterBeats * hb) +
+        static_cast<double>(i) * kElectionStaggerBeats * hb;
     replicas_.push_back(std::make_unique<GsReplica>(
         *this, static_cast<int>(i), *hosts[i], timeout));
   }

@@ -55,26 +55,7 @@ struct HaPolicy {
   /// Leader heartbeat period.  Failover latency and the missed-decision
   /// window both scale with this (bench_gs_failover sweeps it).
   sim::Time heartbeat_interval = 0.5;
-  /// A follower calls an election after this many missed heartbeat
-  /// intervals...
-  double election_timeout_beats = 1.2;
-  /// ...plus a per-replica deterministic jitter of up to this fraction of a
-  /// heartbeat, plus an id-based stagger of `election_stagger_beats` per
-  /// replica.  The stagger must exceed the duty-tick granularity (half a
-  /// heartbeat) plus the jitter range, or two followers can time out in the
-  /// same tick and split the vote — which is exactly a heartbeat interval
-  /// of failover latency wasted.
-  double election_jitter_beats = 0.1;
-  double election_stagger_beats = 0.7;
-  /// A candidate that has not won after this many heartbeat intervals
-  /// reverts to follower and waits out a fresh election timeout.
-  double vote_timeout_beats = 1.0;
-  /// A non-leader buffers up to this many owner events for replay if it
-  /// wins the next election; beyond the cap the oldest is evicted and
-  /// counted in GsReplica::pending_evictions — each eviction is a decision
-  /// that can be missed across a failover.
-  std::size_t pending_event_cap = 32;
-  /// Seed for the per-replica jitter draw.
+  /// Seed for the per-replica election-timeout jitter draw.
   std::uint64_t seed = 42;
 };
 
@@ -122,8 +103,8 @@ class GsReplica {
   [[nodiscard]] sim::Time election_timeout() const noexcept {
     return election_timeout_;
   }
-  /// Owner events dropped from the pending buffer (HaPolicy
-  /// pending_event_cap) — potential missed decisions across a failover.
+  /// Owner events dropped from the full pending buffer — potential missed
+  /// decisions across a failover.
   [[nodiscard]] std::uint64_t pending_evictions() const noexcept {
     return pending_evictions_;
   }

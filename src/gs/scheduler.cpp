@@ -5,6 +5,11 @@
 
 namespace cpe::gs {
 
+namespace {
+/// A destination that made a migration fail is avoided for this long.
+constexpr sim::Time kBlacklistDuration = 10.0;
+}  // namespace
+
 void GlobalScheduler::note(std::string what, bool ok, DecisionReason reason,
                            double load) {
   vm_->metrics().counter(ok ? "gs.decisions" : "gs.decisions.failed").inc();
@@ -33,19 +38,15 @@ void GlobalScheduler::on_owner_event(const os::OwnerEvent& ev) {
   if (!active_) return;  // followers observe, only the leader acts
   switch (ev.action) {
     case os::OwnerAction::kReclaim:
-    case os::OwnerAction::kArrive: {
-      const bool reclaim = ev.action == os::OwnerAction::kReclaim;
-      if (!(reclaim ? policy_.vacate_on_reclaim : policy_.vacate_on_arrival))
-        break;
-      note((reclaim ? "owner reclaimed " : "owner arrived on ") +
-               ev.host->name() + ": vacating",
-           true, DecisionReason::kReclaim, ev.host->cpu().load());
+      if (!policy_.vacate_on_reclaim) break;
+      note("owner reclaimed " + ev.host->name() + ": vacating", true,
+           DecisionReason::kReclaim, ev.host->cpu().load());
       vacate(*ev.host);
       break;
-    }
-    case os::OwnerAction::kDepart:
-      if (adm_ != nullptr && policy_.rejoin_on_depart)
-        vacate_adm(*ev.host, /*withdraw=*/false);
+    case os::OwnerAction::kArrive:
+      break;  // only a reclaim vacates; load policies see the owner's jobs
+    case os::OwnerAction::kDepart:  // ADM: the host may rejoin the job
+      if (adm_ != nullptr) vacate_adm(*ev.host, /*withdraw=*/false);
       break;
   }
 }
@@ -95,14 +96,14 @@ bool GlobalScheduler::is_blacklisted(const os::Host& host) const {
 }
 
 void GlobalScheduler::blacklist(os::Host& host) {
-  blacklist_until_[&host] = vm_->engine().now() + policy_.blacklist_duration;
+  blacklist_until_[&host] = vm_->engine().now() + kBlacklistDuration;
   // Surface the transport's view of the destination alongside the decision:
   // drops and exhausted sends say the link is *lossy*; duplicates and
   // corruption say it is *adversarial* — different reasons to shun a host,
   // distinguishable straight from the journal.
   const auto& dg = vm_->network().datagrams();
   note("blacklisting " + host.name() + " for " +
-           std::to_string(policy_.blacklist_duration) + " s (drops=" +
+           std::to_string(kBlacklistDuration) + " s (drops=" +
            std::to_string(dg.drops_to(host.node())) + ", delivery_errors=" +
            std::to_string(dg.delivery_errors_to(host.node())) +
            ", duplicates=" + std::to_string(dg.duplicates_to(host.node())) +

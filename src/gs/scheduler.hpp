@@ -40,12 +40,8 @@ namespace cpe::gs {
 
 struct GsPolicy {
   bool vacate_on_reclaim = true;
-  /// Vacate also on plain owner arrival (not just explicit reclaim).
-  bool vacate_on_arrival = false;
   /// Move work off a host whose runnable load exceeds this (inf = off).
   double load_threshold = std::numeric_limits<double>::infinity();
-  /// For ADM: post a rejoin when the owner departs again.
-  bool rejoin_on_depart = true;
   sim::Time poll_interval = 2.0;
 
   // -- Failure handling (crash-safe operation) -------------------------------
@@ -61,8 +57,6 @@ struct GsPolicy {
   sim::Time retry_backoff = 0.5;
   double retry_backoff_factor = 2.0;
   sim::Time retry_backoff_max = 30.0;
-  /// A destination that made a migration fail is avoided for this long.
-  sim::Time blacklist_duration = 10.0;
 
   // -- Placement (load/placement.hpp) ----------------------------------------
   /// Which rebalancing policy the monitor runs.  kThreshold reproduces the

@@ -26,8 +26,6 @@ LoadExchange::Agent::Agent(os::Host* host_, std::uint32_t id_,
 
 LoadExchange::LoadExchange(pvm::PvmSystem& vm, ExchangePolicy policy)
     : vm_(&vm), policy_(policy), rng_(policy.seed) {
-  CPE_EXPECTS(policy.gossip_interval > 0);
-  CPE_EXPECTS(policy.fanout > 0);
   CPE_EXPECTS(policy.vector_cap > 0);
   CPE_EXPECTS(policy.staleness_bound > 0);
   sent_ctr_ = &vm.metrics().counter("load.gossip.sent");
@@ -206,10 +204,10 @@ void LoadExchange::gossip_round(Agent& agent) {
   // Receivers any_cast to exactly this type, so convert before wrapping.
   const std::shared_ptr<const LoadGossip> payload = std::move(gossip);
 
-  // Pick `fanout` distinct random live peers: the first `fanout` steps of
-  // a Fisher-Yates shuffle of the live hosts other than this one, in id
-  // order.  The list is read off live_ around our own slot; moved_ holds
-  // only the slots the shuffle has swapped.
+  // Pick kGossipFanout distinct random live peers: the first kGossipFanout
+  // steps of a Fisher-Yates shuffle of the live hosts other than this one,
+  // in id order.  The list is read off live_ around our own slot; moved_
+  // holds only the slots the shuffle has swapped.
   const std::vector<std::uint32_t>& live = live_hosts();
   const auto mine = static_cast<std::size_t>(
       std::lower_bound(live.begin(), live.end(), self) - live.begin());
@@ -221,8 +219,7 @@ void LoadExchange::gossip_round(Agent& agent) {
     return live[slot < mine ? slot : slot + 1];
   };
   moved_.clear();
-  const std::size_t sends =
-      std::min(static_cast<std::size_t>(policy_.fanout), peers);
+  const std::size_t sends = std::min(kGossipFanout, peers);
   for (std::size_t i = 0; i < sends; ++i) {
     const std::size_t j =
         i + static_cast<std::size_t>(agent.rng.below(peers - i));
@@ -250,10 +247,10 @@ sim::Co<void> LoadExchange::run_agent(Agent* agent, sim::Time until) {
   sim::Engine& eng = vm_->engine();
   // Desynchronize the rounds so 64 hosts don't all transmit on the same
   // instant of every simulated second.
-  co_await sim::Delay(eng, agent->rng.uniform() * policy_.gossip_interval);
+  co_await sim::Delay(eng, agent->rng.uniform() * kGossipInterval);
   while (eng.now() < until) {
     if (agent->host->up() && !agent->host->frozen()) gossip_round(*agent);
-    co_await sim::Delay(eng, policy_.gossip_interval);
+    co_await sim::Delay(eng, kGossipInterval);
   }
 }
 

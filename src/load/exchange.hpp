@@ -1,15 +1,15 @@
 // MOSIX-style load dissemination (DESIGN.md §11.2).
 //
-// Each host runs one gossip agent: every `gossip_interval` it refreshes its
+// Each host runs one gossip agent: every kGossipInterval it refreshes its
 // own sensor entry, then sends its `vector_cap` freshest entries (itself
-// always first) to `fanout` random live peers over *unreliable* datagrams —
-// a lost gossip round costs nothing but staleness, so the exchange never
-// blocks on a dead peer the way the reliable pvmd transport would.
-// Receivers merge by origin stamp: newer wins, and a host's own sensor is
-// always authoritative for its own entry.  The result at every host is an
-// eventually-consistent partial load map whose entries carry their age; the
-// PlacementEngine discounts or drops entries older than its staleness
-// bound rather than trusting them.
+// always first) to kGossipFanout random live peers over *unreliable*
+// datagrams — a lost gossip round costs nothing but staleness, so the
+// exchange never blocks on a dead peer the way the reliable pvmd transport
+// would.  Receivers merge by origin stamp: newer wins, and a host's own
+// sensor is always authoritative for its own entry.  The result at every
+// host is an eventually-consistent partial load map whose entries carry
+// their age; the PlacementEngine discounts or drops entries older than its
+// staleness bound rather than trusting them.
 //
 // Hosts are indexed densely (id = the daemon's position in the VM), so an
 // agent's map is a flat array of samples plus an array of stamps, one
@@ -32,9 +32,12 @@
 
 namespace cpe::load {
 
+/// Seconds between an agent's gossip rounds.
+inline constexpr sim::Time kGossipInterval = 1.0;
+/// Random live peers each round's datagram goes to.
+inline constexpr std::size_t kGossipFanout = 2;
+
 struct ExchangePolicy {
-  sim::Time gossip_interval = 1.0;
-  int fanout = 2;               ///< random peers per round
   std::size_t vector_cap = 16;  ///< freshest entries per gossip datagram
   /// Entries older than 3x this are garbage-collected from the maps
   /// (placement applies its own, usually equal, bound when reading).

@@ -4,10 +4,14 @@
 
 namespace cpe::load {
 
+namespace {
+/// Periodic poll between the CPU's event-driven samples.
+constexpr sim::Time kSampleInterval = 0.5;
+}  // namespace
+
 LoadSensor::LoadSensor(os::Host& host, obs::MetricsRegistry& metrics,
                        SensorPolicy policy)
     : host_(&host), policy_(policy) {
-  CPE_EXPECTS(policy.sample_interval > 0);
   CPE_EXPECTS(policy.time_constant > 0);
   gauge_ = &metrics.gauge("load.index." + host.name());
   // Event-driven samples: the CPU tells us the moment the runnable set
@@ -56,7 +60,7 @@ void LoadSensor::start(sim::Time until) {
   auto loop = [](LoadSensor* self, sim::Time horizon) -> sim::Co<void> {
     sim::Engine& eng = self->host_->engine();
     while (eng.now() < horizon) {
-      co_await sim::Delay(eng, self->policy_.sample_interval);
+      co_await sim::Delay(eng, kSampleInterval);
       // A frozen/crashed host's sensor reports nothing: its entry ages out
       // of every peer's map instead of advertising a stale zero load.
       if (self->host_->up() && !self->host_->frozen()) self->sample();

@@ -26,8 +26,7 @@
 namespace cpe::load {
 
 struct SensorPolicy {
-  sim::Time sample_interval = 0.5;  ///< periodic poll between CPU events
-  sim::Time time_constant = 5.0;    ///< EWMA tau (seconds of memory)
+  sim::Time time_constant = 5.0;  ///< EWMA tau (seconds of memory)
 };
 
 class LoadSensor {

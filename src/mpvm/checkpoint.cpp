@@ -4,6 +4,11 @@
 
 namespace cpe::mpvm {
 
+namespace {
+/// Checkpoint server write rate (1994 disk behind the server).
+constexpr double kServerDiskBps = 2e6 * 8;
+}  // namespace
+
 Checkpointer::Checkpointer(pvm::PvmSystem& vm, os::Host& server,
                            CheckpointOptions options)
     : vm_(&vm), server_(&server), options_(options) {
@@ -68,7 +73,7 @@ sim::Co<void> Checkpointer::write_checkpoint(pvm::Task& t, Watch& w) {
   if (!failed) {
     // Server-side disk write, overlapping nothing (1994 checkpoint servers).
     co_await sim::Delay(eng, static_cast<double>(bytes) * 8.0 /
-                                 options_.server_disk_bps);
+                                 kServerDiskBps);
   }
 
   // Resume the frozen burst — unless something else (a concurrent MPVM

@@ -33,8 +33,6 @@ namespace cpe::mpvm {
 
 struct CheckpointOptions {
   sim::Time interval = 60.0;
-  /// Checkpoint server write rate (1994 disk behind the server).
-  double server_disk_bps = 2e6 * 8;
 };
 
 struct CheckpointStats {

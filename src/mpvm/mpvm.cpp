@@ -6,6 +6,11 @@
 
 namespace cpe::mpvm {
 
+namespace {
+/// Transfer granularity for both the pre-copy stream and the stop-copy.
+constexpr std::size_t kTransferChunkBytes = 256 * 1024;
+}  // namespace
+
 std::string_view to_string(MigrationStage s) {
   switch (s) {
     case MigrationStage::kEvent: return "event";
@@ -49,16 +54,12 @@ void Mpvm::on_flush(pvm::Task& self, const pvm::Message& m) {
   // A task frozen mid-migration cannot run its own flush handler (the
   // re-entrancy restriction applies to the runtime too).  Its mpvmd stub
   // closes the gate and acks in its stead — the stub owns the channel state,
-  // so the FIFO guarantee behind the ack still holds.  With substitution
-  // off the flush just sits behind the freeze: the historic cross-migration
-  // deadlock, kept reproducible for tests.
+  // so the FIFO guarantee behind the ack still holds.  Without it two
+  // overlapping migrations would each wait on the other's ack until both
+  // time out (the historic cross-flush deadlock).
   const auto self_mig = pending_.find(self.tid().raw());
   const bool self_frozen =
       self_mig != pending_.end() && self_mig->second->frozen;
-  if (self_frozen && !tuning_.ack_substitution) {
-    vm_->metrics().counter("mpvm.flush.deferred_frozen").inc();
-    return;  // no ack: the migrating side is left to its flush timeout
-  }
   self.send_gate(victim).close();
   if (self_frozen) {
     vm_->metrics().counter("mpvm.flush.acks_substituted").inc();
@@ -332,7 +333,7 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
             precopy_ok = false;
             break;
           }
-          const std::size_t chunk = std::min(tuning_.chunk_bytes, remaining);
+          const std::size_t chunk = std::min(kTransferChunkBytes, remaining);
           chunk_span = sp.begin_span(sp.context_of(stage), "mpvm.precopy.chunk",
                                      src.name(), victim.raw());
           sp.annotate(chunk_span, "bytes", std::to_string(chunk));
@@ -534,7 +535,7 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
         transfer_failure = "aborted: " + pf->abort_reason;
         break;
       }
-      const std::size_t chunk = std::min(tuning_.chunk_bytes, remaining);
+      const std::size_t chunk = std::min(kTransferChunkBytes, remaining);
       co_await sim::Delay(
           eng, static_cast<double>(chunk) * 8.0 / mc.state_copy_bps);
       co_await stream->send(src.node(), chunk);

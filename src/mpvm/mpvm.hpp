@@ -88,18 +88,10 @@ struct MpvmTimeouts {
 
 /// Tuning of the concurrent-migration machinery (DESIGN.md §12).
 struct MpvmTuning {
-  /// A correspondent frozen mid-migration cannot run its own flush handler
-  /// (the re-entrancy restriction applies to the runtime too).  With
-  /// substitution on (default) its mpvmd stub closes the gate and acks in
-  /// its stead; off reproduces the historic cross-flush deadlock — two
-  /// overlapping migrations time each other out — and is kept for tests.
-  bool ack_substitution = true;
   /// Incremental transfer: stream the image while the task still runs, then
   /// freeze only for the dirty residue.  Off by default — the paper's
   /// Table 2 numbers are full-image stop-and-copy.
   bool precopy = false;
-  /// Transfer granularity for both the pre-copy stream and the stop-copy.
-  std::size_t chunk_bytes = 256 * 1024;
   /// How fast the still-running task re-dirties its image during pre-copy;
   /// the residue moved under freeze is min(image, rate * precopy_duration),
   /// floored at the context pages (always dirty at freeze).

@@ -12,6 +12,10 @@ namespace cpe::obs {
 
 namespace {
 
+/// Newest spans and violations embedded per dump.
+constexpr std::size_t kSpanTail = 4096;
+constexpr std::size_t kViolationTail = 64;
+
 void write_window(std::ostream& os, const Window& w) {
   os << "{\"t\":" << json_num(w.t) << ",\"dt\":" << json_num(w.dt)
      << ",\"count\":" << w.count << ",\"rate\":" << json_num(w.rate)
@@ -31,7 +35,8 @@ void write_violation(std::ostream& os, const SloViolation& v) {
      << ",\"streak\":" << v.streak << ",\"window\":" << v.window << "}";
 }
 
-// Same object shape as write_spans_jsonl, embedded in an array.
+}  // namespace
+
 void write_span(std::ostream& os, const SpanRecord& s) {
   os << "{\"trace\":" << s.trace_id << ",\"span\":" << s.span_id
      << ",\"parent\":" << s.parent_span << ",\"name\":\""
@@ -54,8 +59,6 @@ void write_span(std::ostream& os, const SpanRecord& s) {
   }
   os << "}";
 }
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(Analytics& analytics, const SpanTracer* spans,
                                FlightOptions opt)
@@ -112,8 +115,7 @@ bool FlightRecorder::dump(std::string_view reason, const SloViolation* v) {
   {
     const auto& all = analytics_->violations();
     const std::size_t from =
-        all.size() > opt_.violation_tail ? all.size() - opt_.violation_tail
-                                         : 0;
+        all.size() > kViolationTail ? all.size() - kViolationTail : 0;
     for (std::size_t i = from; i < all.size(); ++i) {
       os << (i == from ? "\n    " : ",\n    ");
       write_violation(os, all[i]);
@@ -139,7 +141,7 @@ bool FlightRecorder::dump(std::string_view reason, const SloViolation* v) {
   if (spans_ != nullptr) {
     const auto& ring = spans_->spans();
     const std::size_t from =
-        ring.size() > opt_.span_tail ? ring.size() - opt_.span_tail : 0;
+        ring.size() > kSpanTail ? ring.size() - kSpanTail : 0;
     truncated = from;
     for (std::size_t i = from; i < ring.size(); ++i) {
       os << (i == from ? "\n    " : ",\n    ");

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,15 +32,20 @@ namespace cpe::obs {
 class Analytics;
 class SpanTracer;
 struct SloViolation;
+struct SpanRecord;
 
 struct FlightOptions {
   std::string dir = ".";         ///< output directory (no trailing slash)
   std::string prefix = "flight"; ///< files are <prefix>_<t>.json
   std::size_t max_dumps = 1;
   sim::Time cooldown = 0;        ///< min virtual time between dumps
-  std::size_t span_tail = 4096;  ///< newest spans embedded per dump
-  std::size_t violation_tail = 64;
 };
+
+/// One span as a JSON object: ids, name, host, track, start/end (json_num),
+/// Lamport stamps, status, instant flag and attributes.  Every entry of a
+/// dump's "spans" array has this shape; it is the machine-readable form of
+/// a span.
+void write_span(std::ostream& os, const SpanRecord& s);
 
 class FlightRecorder {
  public:

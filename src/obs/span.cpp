@@ -227,34 +227,6 @@ void chrome_trace_impl(const Spans& spans, std::ostream& os) {
   os << "\n]}\n";
 }
 
-template <typename Spans>
-void spans_jsonl_impl(const Spans& spans, std::uint64_t dropped,
-                      std::ostream& os) {
-  for (const auto& s : spans) {
-    os << "{\"trace\":" << s.trace_id << ",\"span\":" << s.span_id
-       << ",\"parent\":" << s.parent_span << ",\"name\":\""
-       << json_escape(s.name) << "\",\"host\":\"" << json_escape(s.host)
-       << "\",\"track\":" << s.track << ",\"start\":" << chrome_num(s.start)
-       << ",\"end\":" << chrome_num(s.end)
-       << ",\"lamport_start\":" << s.lamport_start
-       << ",\"lamport_end\":" << s.lamport_end << ",\"status\":\""
-       << to_string(s.status) << "\"";
-    if (s.instant) os << ",\"instant\":true";
-    if (!s.attrs.empty()) {
-      os << ",\"attrs\":{";
-      bool first = true;
-      for (const auto& [k, v] : s.attrs) {
-        if (!first) os << ",";
-        first = false;
-        os << "\"" << json_escape(k) << "\":\"" << json_escape(v) << "\"";
-      }
-      os << "}";
-    }
-    os << "}\n";
-  }
-  os << "{\"dropped\":" << dropped << "}\n";
-}
-
 }  // namespace
 
 void write_chrome_trace(const SpanTracer& tracer, std::ostream& os) {
@@ -264,15 +236,6 @@ void write_chrome_trace(const SpanTracer& tracer, std::ostream& os) {
 void write_chrome_trace(const std::vector<SpanRecord>& spans,
                         std::ostream& os) {
   chrome_trace_impl(spans, os);
-}
-
-void write_spans_jsonl(const SpanTracer& tracer, std::ostream& os) {
-  spans_jsonl_impl(tracer.spans(), tracer.dropped(), os);
-}
-
-void write_spans_jsonl(const std::vector<SpanRecord>& spans,
-                       std::uint64_t dropped, std::ostream& os) {
-  spans_jsonl_impl(spans, dropped, os);
 }
 
 }  // namespace cpe::obs

@@ -21,9 +21,9 @@
 //
 // Consumers: write_chrome_trace() emits Chrome trace-event JSON loadable in
 // Perfetto / chrome://tracing (one pid per host, one tid per task/ULP
-// track); write_spans_jsonl() emits one span per line next to the metrics
-// JSONL; obs::TraceAuditor (audit.hpp) replays the spans and checks protocol
-// invariants.
+// track); obs::write_span (flight.hpp) writes one span as the JSON object a
+// flight dump embeds; obs::TraceAuditor (audit.hpp) replays the spans and
+// checks protocol invariants.
 #pragma once
 
 #include <cstdint>
@@ -180,13 +180,5 @@ void write_chrome_trace(const SpanTracer& tracer, std::ostream& os);
 /// spans across several independent testbeds before exporting one file.
 void write_chrome_trace(const std::vector<SpanRecord>& spans,
                         std::ostream& os);
-
-/// One span per line next to the metrics JSONL; always ends with a
-/// {"dropped":N} trailer so consumers can tell "no drops" from "no trailer".
-void write_spans_jsonl(const SpanTracer& tracer, std::ostream& os);
-
-/// Explicit-span-set flavour; `dropped` feeds the trailer.
-void write_spans_jsonl(const std::vector<SpanRecord>& spans,
-                       std::uint64_t dropped, std::ostream& os);
 
 }  // namespace cpe::obs

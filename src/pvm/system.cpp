@@ -58,8 +58,7 @@ sim::Co<void> Pvmd::pump() {
     // re-stamped over the same body — the CRC is per hop, the seq is
     // end-to-end.  The body remembers its CRC, so the stamp, every re-stamp
     // and the receiver's check hash an unchanged body once.
-    if (sys_->wire_checksums_)
-      o.msg.crc = o.msg.body ? o.msg.body->crc32() : 0;
+    o.msg.crc = o.msg.body ? o.msg.body->crc32() : 0;
     try {
       co_await sys_->network().datagrams().send(net::Datagram(
           host_->node(), o.dst_node, kPvmdPort, wire, std::move(o.msg)));
@@ -262,7 +261,6 @@ PvmSystem::PvmSystem(sim::Engine& eng, net::Network& net,
     garbled.corrupt_bit(static_cast<std::size_t>(corrupt_rng_.below(
         static_cast<std::uint64_t>(garbled.bytes()) * 8)));
     m->body = std::make_shared<const Buffer>(std::move(garbled));
-    if (!wire_checksums_) return false;  // undefended: garbage flows on
     return m->crc == 0 || m->body->crc32() != m->crc;
   });
 }

@@ -243,27 +243,6 @@ class PvmSystem {
     return it == reloc_epoch_.end() ? 0 : it->second;
   }
 
-  // -- Adversarial-network defenses (DESIGN.md §7) ---------------------------
-  /// Frame checksums on the daemon wire path (default on): the sending pump
-  /// stamps a CRC-32 of the body onto every frame; corruption injected by
-  /// the fabric is detected against it and recovered by retransmission.
-  /// Turning this off reproduces the undefended stack — injected corruption
-  /// reaches applications as garbled payloads.
-  void set_wire_checksums(bool on) noexcept { wire_checksums_ = on; }
-  [[nodiscard]] bool wire_checksums() const noexcept {
-    return wire_checksums_;
-  }
-  /// How long a receiving task holds out-of-order frames before declaring
-  /// the missing ones lost and skipping the gap (Task::accept).  Must
-  /// comfortably exceed the transport's retransmission recovery (default
-  /// retry budget: 20 × 50 ms).
-  void set_reorder_gap_timeout(sim::Time t) noexcept {
-    CPE_EXPECTS(t > 0);
-    reorder_gap_timeout_ = t;
-  }
-  [[nodiscard]] sim::Time reorder_gap_timeout() const noexcept {
-    return reorder_gap_timeout_;
-  }
   // Not noexcept: CPE_EXPECTS throws ContractError on a bad knob.
   void set_tuning(const PvmTuning& t) {
     CPE_EXPECTS(t.reorder_window_cap > 0);
@@ -342,8 +321,6 @@ class PvmSystem {
   obs::Counter* seq_gaps_ctr_ = nullptr;
   obs::Counter* seq_window_evicted_ctr_ = nullptr;
   obs::Counter* crc_dropped_ctr_ = nullptr;
-  bool wire_checksums_ = true;
-  sim::Time reorder_gap_timeout_ = 2.0;
   PvmTuning tuning_;
   /// Dice for picking which payload bit an injected corruption flips
   /// (deterministic: the corrupt hook must not perturb the network's

@@ -405,7 +405,7 @@ void Task::drain_ready(std::int32_t src_raw, SeqWindow& w) {
 }
 
 void Task::arm_gap_timer(std::int32_t src_raw, SeqWindow& w) {
-  w.gap_deadline = sys_->engine().now() + sys_->reorder_gap_timeout();
+  w.gap_deadline = sys_->engine().now() + kReorderGapTimeout;
   // Look the task up again at fire time: it may have exited (the Task
   // object lives until VM teardown, so the pointer held via the system map
   // stays valid or lookups return null).

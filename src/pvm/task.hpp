@@ -33,6 +33,11 @@ class Task;
 /// A task program: the application code run by each VP.
 using TaskMain = std::function<sim::Co<void>(Task&)>;
 
+/// How long a receiving task holds out-of-order frames before declaring the
+/// missing ones lost and skipping the gap (Task::accept).  Comfortably above
+/// the transport's retransmission recovery (retry budget: 20 × 50 ms).
+inline constexpr sim::Time kReorderGapTimeout = 2.0;
+
 class Task {
  public:
   Task(PvmSystem& sys, Pvmd& pvmd, os::Process& proc, Tid tid, Tid parent,
@@ -213,7 +218,7 @@ class Task {
   /// original) and hold early frames until the gap fills, restoring the
   /// per-pair FIFO the flush protocol assumes.  A gap that never fills
   /// (the sender's daemon gave up on the missing frame) is skipped after
-  /// PvmSystem::reorder_gap_timeout so the pair cannot stall forever.
+  /// kReorderGapTimeout so the pair cannot stall forever.
   /// Unsequenced frames (seq 0) bypass the window.
   void accept(Message m);
   /// Held-back out-of-order frames across all senders (tests/invariants).

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace cpe::sim {
@@ -273,6 +274,11 @@ std::uint32_t Engine::alloc_slot() {
   // noexcept context, so it must never need to grow there.
   free_slots_.reserve(slots_.capacity());
   return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+Time Engine::past_time(Time t) const {
+  CPE_EXPECTS(!std::isnan(t) && "sim::Engine event time is NaN");
+  return now_;
 }
 
 EventId Engine::commit_slot(std::uint32_t slot, Time t) {

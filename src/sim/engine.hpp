@@ -271,12 +271,13 @@ class Engine {
   /// Current simulated time in seconds.
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Schedule `fn` to run at absolute time `t` (>= now()).  Callables whose
-  /// captures fit EventFn::kInlineBytes are stored inline in the recycled
-  /// slot arena: no heap allocation in steady state.
+  /// Schedule `fn` to run at absolute time `t` (>= now(); kForever parks it
+  /// for good, NaN is rejected).  Callables whose captures fit
+  /// EventFn::kInlineBytes are stored inline in the recycled slot arena: no
+  /// heap allocation in steady state.
   template <class F>
   EventId schedule_at(Time t, F&& fn) {
-    if (t < now_) t = now_;
+    if (!(t >= now_)) t = past_time(t);  // NaN fails the compare too
     const std::uint32_t slot = alloc_slot();
     try {
       slots_[slot].fn.emplace(std::forward<F>(fn));
@@ -289,10 +290,11 @@ class Engine {
   }
 
   /// Schedule `fn` to run `dt` seconds from now.  Negative delays are clamped
-  /// to "immediately" (still after the current event completes).
+  /// to "immediately" (still after the current event completes); a NaN
+  /// delay is rejected.
   template <class F>
   EventId schedule_in(Time dt, F&& fn) {
-    return schedule_at(now_ + (dt > 0 ? dt : 0), std::forward<F>(fn));
+    return schedule_at(now_ + dt, std::forward<F>(fn));
   }
 
   /// Cancel a scheduled event.  No-op when the event already fired, was
@@ -334,6 +336,9 @@ class Engine {
   // sweep them all in one O(pending) pass.  Bounds queue memory at 2x live.
   static constexpr std::size_t kCompactFloor = 64;
 
+  /// The time a schedule for `t` < now() runs at: now().  Rejects NaN.
+  /// Out of line, so the check costs the inlined schedule calls nothing.
+  [[nodiscard]] Time past_time(Time t) const;
   std::uint32_t alloc_slot();
   EventId commit_slot(std::uint32_t slot, Time t);
   void compact_queue() noexcept;

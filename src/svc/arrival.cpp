@@ -1,6 +1,5 @@
 #include "svc/arrival.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -11,7 +10,7 @@ double DiurnalArrivals::rate_at(sim::Time t) const noexcept {
          (1.0 + amplitude_ * std::sin(2.0 * std::numbers::pi * t / period_));
 }
 
-std::optional<sim::Time> DiurnalArrivals::next_gap(sim::Time now) {
+sim::Time DiurnalArrivals::next_gap(sim::Time now) {
   // Lewis-Shedler thinning: draw candidates from a homogeneous Poisson
   // process at the peak rate, accept each with probability rate(t)/peak.
   // The candidate at virtual time `t` below is relative to `now`.
@@ -21,35 +20,6 @@ std::optional<sim::Time> DiurnalArrivals::next_gap(sim::Time now) {
     t += rng_.exponential(1.0 / peak);
     if (rng_.uniform() * peak <= rate_at(now + t)) return t;
   }
-}
-
-TraceReplay::TraceReplay(std::vector<sim::Time> stamps, ReplayOrder order)
-    : stamps_(std::move(stamps)) {
-  for (const sim::Time s : stamps_) {
-    CPE_EXPECTS(std::isfinite(s) && s >= 0 &&
-                "svc::TraceReplay stamps must be finite and non-negative");
-  }
-  if (order == ReplayOrder::kSort) {
-    std::stable_sort(stamps_.begin(), stamps_.end());
-  } else {
-    CPE_EXPECTS(std::is_sorted(stamps_.begin(), stamps_.end()) &&
-                "svc::TraceReplay stamps must be non-decreasing (pass "
-                "ReplayOrder::kSort to sort out-of-order traces)");
-  }
-}
-
-std::optional<sim::Time> TraceReplay::next_gap(sim::Time now) {
-  if (next_ >= stamps_.size()) return std::nullopt;
-  if (!started_) {
-    started_ = true;
-    base_ = now;  // stamps are offsets from the first pull
-  }
-  // Target absolute time of the next arrival; the stamps are sorted, so the
-  // target can lag `now` only if the driver itself fell behind (it pulls
-  // exactly one gap per scheduled arrival, so it cannot) — clamp regardless
-  // to keep the invariant local.
-  const sim::Time target = base_ + stamps_[next_++];
-  return std::max<sim::Time>(0, target - now);
 }
 
 }  // namespace cpe::svc

@@ -68,8 +68,6 @@ const char* to_string(RouteKind k) noexcept {
       return "round_robin";
     case RouteKind::kLeastOutstanding:
       return "least_outstanding";
-    case RouteKind::kLocalityAffine:
-      return "locality_affine";
   }
   return "?";
 }
@@ -86,8 +84,6 @@ Frontend::Frontend(pvm::PvmSystem& vm, std::unique_ptr<ArrivalProcess> arrivals,
   CPE_EXPECTS(opts.timeout > 0 && "svc::Frontend timeout must be > 0");
   CPE_EXPECTS(opts.service_demand > 0 &&
               "svc::Frontend mean service demand must be > 0");
-  CPE_EXPECTS(opts.affinity_keys > 0 &&
-              "svc::Frontend affinity key space must be non-empty");
   if (!vm.has_program("svc.frontend")) {
     vm.register_program("svc.frontend", frontend_main);
   }
@@ -137,9 +133,7 @@ sim::Co<void> Frontend::init(os::Host* host,
 
 void Frontend::pump(sim::Time horizon) {
   sim::Engine& eng = vm_->engine();
-  const std::optional<sim::Time> gap = arrivals_->next_gap(eng.now());
-  if (!gap) return;  // finite trace exhausted
-  const sim::Time t = eng.now() + *gap;
+  const sim::Time t = eng.now() + arrivals_->next_gap(eng.now());
   if (t > horizon) return;
   // One pooled event per request; 16-byte capture stays in the inline slot.
   (void)eng.schedule_at(t, [this, horizon] {
@@ -153,19 +147,18 @@ bool Frontend::worker_live(std::size_t i) const {
   return t != nullptr && !t->exited() && t->pvmd().host().up();
 }
 
-long Frontend::pick_worker(std::uint64_t id) {
+long Frontend::pick_worker() {
   const std::size_t n = worker_tids_.size();
   if (n == 0) return -1;
-  const auto scan_from = [&](std::size_t from) -> long {
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = (from + k) % n;
-      if (worker_live(i)) return static_cast<long>(i);
-    }
-    return -1;
-  };
   switch (opts_.route) {
-    case RouteKind::kRoundRobin:
-      return scan_from(rr_++ % n);
+    case RouteKind::kRoundRobin: {
+      const std::size_t from = rr_++ % n;
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t i = (from + k) % n;
+        if (worker_live(i)) return static_cast<long>(i);
+      }
+      return -1;
+    }
     case RouteKind::kLeastOutstanding: {
       long best = -1;
       for (std::size_t i = 0; i < n; ++i) {
@@ -177,12 +170,6 @@ long Frontend::pick_worker(std::uint64_t id) {
       }
       return best;
     }
-    case RouteKind::kLocalityAffine: {
-      // Stable key -> home worker; spill to the next live worker when the
-      // home is down, so affinity degrades instead of rejecting.
-      const std::uint64_t key = id % opts_.affinity_keys;
-      return scan_from(static_cast<std::size_t>((key * 2654435761u) % n));
-    }
   }
   return -1;
 }
@@ -191,7 +178,7 @@ void Frontend::dispatch_one() {
   const std::uint64_t id = next_id_++;
   issued_++;
   c_issued_->inc();
-  const long w = pick_worker(id);
+  const long w = pick_worker();
   if (w < 0) {
     rejected_++;
     c_rejected_->inc();

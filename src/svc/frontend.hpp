@@ -56,7 +56,6 @@ inline constexpr int kTagComplete = pvm::kControlTagBase + 96;
 enum class RouteKind : std::uint8_t {
   kRoundRobin,        ///< cycle through live workers
   kLeastOutstanding,  ///< fewest requests in flight (power of all choices)
-  kLocalityAffine,    ///< hash the request's affinity key to a home worker
 };
 
 [[nodiscard]] const char* to_string(RouteKind k) noexcept;
@@ -70,8 +69,7 @@ struct FrontendOptions {
   std::uint64_t sample_every = 1;   ///< trace every Nth request (0 = none)
   std::size_t request_bytes = 256;  ///< payload padding per request
   std::size_t worker_image_bytes = 2 * 1024 * 1024;  ///< data segment
-  std::uint32_t affinity_keys = 16;  ///< key space for kLocalityAffine
-  std::uint64_t seed = 1;            ///< demand draws
+  std::uint64_t seed = 1;  ///< demand draws
 
   FrontendOptions() {}
 };
@@ -132,7 +130,7 @@ class Frontend {
   void on_timeout(std::uint64_t id);
   void retire(std::unordered_map<std::uint64_t, Pending>::iterator it);
   /// -1 when no live worker exists.
-  [[nodiscard]] long pick_worker(std::uint64_t id);
+  [[nodiscard]] long pick_worker();
   [[nodiscard]] bool worker_live(std::size_t i) const;
 
   pvm::PvmSystem* vm_;

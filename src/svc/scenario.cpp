@@ -25,8 +25,6 @@ const char* to_string(ArrivalKind k) noexcept {
       return "poisson";
     case ArrivalKind::kDiurnal:
       return "diurnal";
-    case ArrivalKind::kTrace:
-      return "trace";
   }
   return "?";
 }
@@ -57,8 +55,6 @@ std::unique_ptr<ArrivalProcess> make_arrivals(const ScenarioRow& row,
     case ArrivalKind::kDiurnal:
       return std::make_unique<DiurnalArrivals>(row.rate, row.amplitude,
                                                row.period, seed);
-    case ArrivalKind::kTrace:
-      return std::make_unique<TraceReplay>(row.trace);
   }
   return nullptr;
 }
@@ -179,8 +175,7 @@ ScenarioResult run_scenario(const ScenarioRow& row,
     return sum;
   });
 
-  obs::AnalyticsOptions aopt;
-  aopt.window = row.analytics_window;
+  obs::AnalyticsOptions aopt;  // the default 1 s windows
   aopt.ring_windows = row.ring_windows;
   obs::Analytics an(eng, vm.metrics(), aopt);
   track_service_metrics(an);
@@ -189,8 +184,7 @@ ScenarioResult run_scenario(const ScenarioRow& row,
   // the Analytics on destruction, so it must not outlive it.
   std::unique_ptr<obs::FlightRecorder> recorder;
   if (row.arm_flight_recorder) {
-    obs::FlightOptions fo;
-    fo.dir = row.flight_dir;
+    obs::FlightOptions fo;  // dumps land in the working directory
     fo.prefix = "flight_" + row.name;
     fo.max_dumps = 1;
     recorder = std::make_unique<obs::FlightRecorder>(an, &vm.spans(), fo);

@@ -12,7 +12,7 @@
 // scenario is a table entry, not a new harness.
 //
 // Determinism: every stochastic choice — arrivals, service demands, gossip
-// fanout, placement tie-breaks, fault schedules — draws from seeds derived
+// peers, placement tie-breaks, fault schedules — draws from seeds derived
 // from ScenarioRow::seed, so a row re-runs byte-identically.
 #pragma once
 
@@ -27,7 +27,7 @@
 
 namespace cpe::svc {
 
-enum class ArrivalKind : std::uint8_t { kPoisson, kDiurnal, kTrace };
+enum class ArrivalKind : std::uint8_t { kPoisson, kDiurnal };
 enum class FaultKind : std::uint8_t {
   kNone,
   kStorm,   ///< rotating owner-reclamation storm (external-job churn)
@@ -54,7 +54,6 @@ struct ScenarioRow {
   double rate = 100.0;       ///< requests/s (base rate for kDiurnal)
   double amplitude = 0.5;    ///< kDiurnal modulation depth [0,1]
   sim::Time period = 86400;  ///< kDiurnal period
-  std::vector<sim::Time> trace;  ///< kTrace offsets (strict order)
 
   // -- Request shape ---------------------------------------------------------
   RouteKind route = RouteKind::kLeastOutstanding;
@@ -85,11 +84,9 @@ struct ScenarioRow {
   double bandwidth_bps = 100e6;
 
   // -- Observability ---------------------------------------------------------
-  sim::Time analytics_window = 1.0;
   std::size_t ring_windows = 256;
   std::vector<std::string> slo_rules;  ///< obs::SloRule::parse texts
   bool arm_flight_recorder = false;    ///< dump (once) on first violation
-  std::string flight_dir = ".";
 
   ScenarioRow() {}
 };

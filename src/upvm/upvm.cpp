@@ -7,6 +7,13 @@
 namespace cpe::upvm {
 
 namespace {
+/// Deadlines for the blocking migration stages; on expiry the ULP move is
+/// aborted and the ULP stays runnable at the source.  The accept deadline is
+/// generous: the unoptimized accept path costs several reference-seconds
+/// (§4.2.3) and shares the destination CPU.
+constexpr sim::Time kFlushAckTimeout = 5.0;
+constexpr sim::Time kAcceptTimeout = 120.0;
+
 /// ULPs carry virtualized application tids; the UPVM library maps them to
 /// the container task that currently hosts the ULP (§4.2.1 "the mapping of
 /// application tids into actual tids").  Host index 600 can never collide
@@ -486,7 +493,7 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
       src_c->task().runtime_send(c->task().tid(), kTagUlpFlush, std::move(b));
     }
     if (pf->received < pf->expected &&
-        !co_await pf->all_acked->wait_for(options_.flush_ack_timeout)) {
+        !co_await pf->all_acked->wait_for(kFlushAckTimeout)) {
       co_return abort_move("flush acks timed out (" +
                            std::to_string(pf->received) + "/" +
                            std::to_string(pf->expected) + ")");
@@ -558,10 +565,10 @@ sim::Co<UlpMigrationStats> Upvm::migrate_ulp(
 
   // ---- Stage 4: accept + re-queue at the destination ----------------------
   stage = sp.begin_span(mig_ctx, "upvm.accept", stats.to_host, inst);
-  if (!co_await accept_done->wait_for(options_.accept_timeout)) {
+  if (!co_await accept_done->wait_for(kAcceptTimeout)) {
     *aborted = true;
     co_return abort_move("accept timed out on " + dst.name() + " after " +
-                         std::to_string(options_.accept_timeout) + " s");
+                         std::to_string(kAcceptTimeout) + " s");
   }
   pending_.erase(inst);
   stats.accept_done = eng.now();

@@ -60,12 +60,6 @@ struct UpvmOptions {
   /// boundaries of its compute segments (yield/recv points) instead of
   /// being interrupted mid-burst.  Costs responsiveness; ablation A9.
   bool migrate_at_safe_points_only = false;
-  /// Deadlines for the blocking migration stages; on expiry the ULP move is
-  /// aborted and the ULP stays runnable at the source.  The accept deadline
-  /// is generous by default: the unoptimized accept path costs several
-  /// reference-seconds (§4.2.3) and shares the destination CPU.
-  sim::Time flush_ack_timeout = 5.0;
-  sim::Time accept_timeout = 120.0;
 };
 
 /// Timing of one ULP migration (Figure 3 / Table 4 reproduction).

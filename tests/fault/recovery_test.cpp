@@ -11,6 +11,7 @@
 
 #include "fault/fault.hpp"
 #include "gs/scheduler.hpp"
+#include "obs/flight.hpp"
 
 namespace cpe::fault {
 namespace {
@@ -225,7 +226,7 @@ struct GsRetryOutcome {
   std::string final_host;
   std::size_t migrations = 0;
   std::string migrated_to;
-  std::string spans_jsonl;  ///< the run's whole span stream
+  std::string spans;  ///< every span of the run, one JSON object a line
 };
 
 /// The ISSUE acceptance scenario: the GS vacates host1; the chosen
@@ -261,8 +262,11 @@ GsRetryOutcome run_gs_retry_scenario() {
   if (!w.mpvm.history().empty())
     out.migrated_to = w.mpvm.history().front().to_host;
   std::ostringstream spans;
-  obs::write_spans_jsonl(w.vm.spans(), spans);
-  out.spans_jsonl = spans.str();
+  for (const obs::SpanRecord& s : w.vm.spans().spans()) {
+    obs::write_span(spans, s);
+    spans << '\n';
+  }
+  out.spans = spans.str();
   return out;
 }
 
@@ -326,10 +330,9 @@ TEST(GsRecovery, RetryScenarioReplaysIdentically) {
   EXPECT_EQ(a.final_host, b.final_host);
   // The span stream replays byte for byte too: ids, times, Lamport stamps,
   // statuses and attributes.
-  EXPECT_NE(a.spans_jsonl.find("\"name\":\"mpvm.migrate\""),
-            std::string::npos);
-  EXPECT_NE(a.spans_jsonl.find("\"name\":\"gs."), std::string::npos);
-  EXPECT_EQ(a.spans_jsonl, b.spans_jsonl);
+  EXPECT_NE(a.spans.find("\"name\":\"mpvm.migrate\""), std::string::npos);
+  EXPECT_NE(a.spans.find("\"name\":\"gs."), std::string::npos);
+  EXPECT_EQ(a.spans, b.spans);
 }
 
 TEST(GsRecovery, VacateWithNoLiveDestinationIsJournalledNotCrashed) {

@@ -169,7 +169,7 @@ TEST_F(GsEnv, ReclaimVacatesAllTasksViaMpvm) {
 
 TEST_F(GsEnv, ArrivalDoesNotVacateUnlessPolicySaysSo) {
   mpvm::Mpvm mpvm(vm);
-  GlobalScheduler gs(vm);  // default: vacate_on_arrival = false
+  GlobalScheduler gs(vm);  // only a reclaim vacates
   gs.attach(mpvm);
   vm.register_program("worker", [&](Task& t) -> sim::Co<void> {
     co_await t.compute(30.0);

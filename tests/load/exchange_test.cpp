@@ -17,8 +17,8 @@ TEST_F(WorknetFixture, GossipBuildsAFullMapOnASmallWorknet) {
   LoadExchange x(vm);
   x.start(20.0);
   eng.run_until(20.0);
-  // Three hosts, fanout 2: everyone hears about everyone within a few
-  // rounds.
+  // Three hosts, two peers a round: everyone hears about everyone within a
+  // few rounds.
   for (const os::Host* at : {&host1, &host2, &sparc}) {
     const std::vector<LoadEntry> v = x.view(*at);
     ASSERT_EQ(v.size(), 3u) << "partial map at " << at->name();

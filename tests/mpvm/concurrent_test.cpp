@@ -110,50 +110,6 @@ TEST_F(ConcurrentMigrationTest, ConcurrentMigrationsSubstituteFrozenAcks) {
   expect_audit_clean();
 }
 
-TEST_F(ConcurrentMigrationTest, SubstitutionOffReproducesCrossFlushDeadlock) {
-  // The regression the redesign exists for: with substitution disabled, two
-  // overlapping migrations each wait on a flush ack the other (frozen) task
-  // can never send.  Both time out and roll back — the tasks survive, but
-  // no migration makes progress.
-  MpvmTuning tuning;
-  tuning.ack_substitution = false;
-  mpvm.set_tuning(tuning);
-  mpvm.set_timeouts({.flush_ack = 1.0, .transfer = 30.0});
-  vm.register_program("pa", [&](Task& t) -> sim::Co<void> {
-    co_await sim::Delay(eng, 1.0);  // let pb enroll before greeting it
-    t.initsend().pk_int(1);
-    co_await t.send(Tid::make(1, 1), 9);
-    co_await t.recv(kAny, 9);
-    co_await t.compute(20.0);
-  });
-  vm.register_program("pb", [&](Task& t) -> sim::Co<void> {
-    co_await t.recv(kAny, 9);
-    t.initsend().pk_int(2);
-    co_await t.send(Tid::make(0, 1), 9);
-    co_await t.compute(20.0);
-  });
-  std::optional<MigrationStats> sa, sb;
-  auto mig_a = [&](Tid v) -> sim::Proc { sa = co_await mpvm.migrate(v, host2); };
-  auto mig_b = [&](Tid v) -> sim::Proc { sb = co_await mpvm.migrate(v, host1); };
-  auto driver = [&]() -> sim::Proc {
-    auto a = co_await vm.spawn("pa", 1, "host1");
-    auto b = co_await vm.spawn("pb", 1, "host2");
-    co_await sim::Delay(eng, 5.0);
-    sim::spawn(eng, mig_a(a[0]));
-    sim::spawn(eng, mig_b(b[0]));
-  };
-  sim::spawn(eng, driver());
-  run_all();
-  ASSERT_TRUE(sa.has_value());
-  ASSERT_TRUE(sb.has_value());
-  EXPECT_FALSE(sa->ok);
-  EXPECT_FALSE(sb->ok);
-  EXPECT_NE(sa->failure.find("flush"), std::string::npos) << sa->failure;
-  EXPECT_GE(vm.metrics().counter("mpvm.flush.deferred_frozen").value(), 2u);
-  EXPECT_TRUE(mpvm.history().empty());
-  expect_audit_clean();  // both rollbacks recorded
-}
-
 TEST_F(ConcurrentMigrationTest, ResidualMessagesForwardedThenRoutedDirect) {
   // A task outside the flush scope never hears the restart broadcast; its
   // first post-move send bounces off the old host's forwarding stub (and is

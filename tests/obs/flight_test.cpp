@@ -94,6 +94,7 @@ TEST_F(FlightFixture, ManualTriggerEmbedsSpanTail) {
   EXPECT_NE(doc.find("\"violation\": null"), std::string::npos);
   EXPECT_NE(doc.find("\"name\":\"mpvm.migrate\""), std::string::npos);
   EXPECT_NE(doc.find("\"host\":\"hostA\""), std::string::npos);
+  EXPECT_NE(doc.find("\"spans_dropped\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"value\":7"), std::string::npos);  // the gauge window
   // Capped: a second trigger is suppressed.
   EXPECT_FALSE(rec.trigger("fault:again"));

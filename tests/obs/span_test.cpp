@@ -169,15 +169,5 @@ TEST_F(SpanTracerTest, ChromeTraceVectorOverloadMatchesTracer) {
   EXPECT_EQ(from_tracer.str(), from_vector.str());
 }
 
-TEST_F(SpanTracerTest, JsonlAlwaysEmitsDroppedTrailer) {
-  (void)tr.begin_span({}, "a", "h");
-  std::ostringstream os;
-  write_spans_jsonl(tr, os);
-  EXPECT_NE(os.str().find("{\"dropped\":0}"), std::string::npos);
-  std::ostringstream os2;
-  write_spans_jsonl(std::vector<SpanRecord>{}, 5, os2);
-  EXPECT_EQ(os2.str(), "{\"dropped\":5}\n");
-}
-
 }  // namespace
 }  // namespace cpe::obs

@@ -150,8 +150,7 @@ class ReferenceExchange {
     std::vector<Agent*> peers;
     for (const auto& a : agents_)
       if (a.get() != &agent && a->host->up()) peers.push_back(a.get());
-    const std::size_t sends =
-        std::min(static_cast<std::size_t>(policy_.fanout), peers.size());
+    const std::size_t sends = std::min(load::kGossipFanout, peers.size());
     for (std::size_t i = 0; i < sends; ++i) {
       const std::size_t j =
           i + static_cast<std::size_t>(agent.rng.below(peers.size() - i));
@@ -173,10 +172,10 @@ class ReferenceExchange {
 
   sim::Co<void> run_agent(Agent* agent, sim::Time until) {
     sim::Engine& eng = vm_->engine();
-    co_await sim::Delay(eng, agent->rng.uniform() * policy_.gossip_interval);
+    co_await sim::Delay(eng, agent->rng.uniform() * load::kGossipInterval);
     while (eng.now() < until) {
       if (agent->host->up() && !agent->host->frozen()) gossip_round(*agent);
-      co_await sim::Delay(eng, policy_.gossip_interval);
+      co_await sim::Delay(eng, load::kGossipInterval);
     }
   }
 

@@ -59,11 +59,6 @@ TEST_P(ServiceTailSweep, ExactlyOnceAndCleanAudit) {
   row.rate = 120.0;
   row.amplitude = 0.6;
   row.period = 40.0;  // one full diurnal cycle inside the cell
-  if (c.arrival == ArrivalKind::kTrace) {
-    // Deterministic bursty trace: bursts of 8 every 250 ms.
-    for (int burst = 0; burst * 0.25 < 35.0; ++burst)
-      for (int k = 0; k < 8; ++k) row.trace.push_back(burst * 0.25);
-  }
   row.route = c.route;
   row.service_demand = 15e-3;
   row.timeout = 1.0;
@@ -116,8 +111,11 @@ INSTANTIATE_TEST_SUITE_P(
              RouteKind::kRoundRobin, load::PolicyKind::kWorkSteal, false,
              FaultKind::kCrash, 1),
         Cell("poisson_swap_freeze", ArrivalKind::kPoisson,
-             RouteKind::kLocalityAffine, load::PolicyKind::kDestinationSwap,
+             RouteKind::kRoundRobin, load::PolicyKind::kDestinationSwap,
              false, FaultKind::kFreeze, 1),
+        Cell("poisson_worksteal_storm", ArrivalKind::kPoisson,
+             RouteKind::kLeastOutstanding, load::PolicyKind::kWorkSteal,
+             false, FaultKind::kStorm, 2),
         Cell("diurnal_bestfit_quiet", ArrivalKind::kDiurnal,
              RouteKind::kLeastOutstanding, load::PolicyKind::kBestFit, false,
              FaultKind::kNone, 1),
@@ -126,13 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
              FaultKind::kStorm, 3),
         Cell("diurnal_threshold_flap", ArrivalKind::kDiurnal,
              RouteKind::kRoundRobin, load::PolicyKind::kThreshold, false,
-             FaultKind::kFlap, 1),
-        Cell("trace_bestfit_quiet", ArrivalKind::kTrace,
-             RouteKind::kLeastOutstanding, load::PolicyKind::kBestFit, false,
-             FaultKind::kNone, 1),
-        Cell("trace_worksteal_storm", ArrivalKind::kTrace,
-             RouteKind::kLeastOutstanding, load::PolicyKind::kWorkSteal,
-             false, FaultKind::kStorm, 2)),
+             FaultKind::kFlap, 1)),
     cell_name);
 
 }  // namespace

@@ -234,7 +234,7 @@ TEST_F(SequencerFixture, GapTimeoutSkipsAMissingSeq) {
   EXPECT_EQ(ctr("pvm.seq.gaps_skipped"), 1u);
   EXPECT_EQ(task->held_messages(), 0u);
   // Liveness costs exactly the configured gap timeout.
-  EXPECT_GE(eng.now(), held_at + vm.reorder_gap_timeout());
+  EXPECT_GE(eng.now(), held_at + kReorderGapTimeout);
 }
 
 TEST_F(SequencerFixture, StragglerArrivingAfterGapSkipIsDropped) {
@@ -252,7 +252,7 @@ TEST_F(SequencerFixture, StragglerClosingTheGapBeforeTimeoutCancelsSkip) {
   start_collector(2);
   task->accept(forged(2, 20));
   // The straggler lands well before the gap deadline.
-  eng.schedule_in(vm.reorder_gap_timeout() / 4,
+  eng.schedule_in(kReorderGapTimeout / 4,
                   [&] { task->accept(forged(1, 10)); });
   eng.run();
   EXPECT_EQ(got, (std::vector<int>{10, 20}));
@@ -377,26 +377,13 @@ TEST_F(AdversarialPvmFixture, ReorderedFramesReleaseInSendOrder) {
 }
 
 TEST_F(AdversarialPvmFixture, CorruptionIsCaughtByTheFrameChecksum) {
-  // Checksums on (the default): every flipped frame is detected at the
-  // receiving daemon, retransmitted, and the app sees pristine data.
+  // Every flipped frame is detected against its checksum at the receiving
+  // daemon, retransmitted, and the app sees pristine data.
   run_chatter({.corrupt_probability = 0.1});
   EXPECT_EQ(got, in_order());
   EXPECT_GT(net.datagrams().corrupt_injected(), 0u);
   EXPECT_GT(net.datagrams().corrupt_dropped(), 0u);
   EXPECT_EQ(net.datagrams().corrupt_delivered(), 0u);
-}
-
-TEST_F(AdversarialPvmFixture, WithoutChecksumsGarbageReachesTheApp) {
-  // The negative control: disable the frame checksum and the same flips
-  // sail through — proof the CRC is what was protecting the payload.
-  vm.set_wire_checksums(false);
-  run_chatter({.corrupt_probability = 0.1});
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kMsgs));
-  EXPECT_GT(net.datagrams().corrupt_delivered(), 0u);
-  std::size_t mismatches = 0;
-  for (int i = 0; i < kMsgs; ++i)
-    if (got[static_cast<std::size_t>(i)] != i) ++mismatches;
-  EXPECT_EQ(mismatches, net.datagrams().corrupt_delivered());
 }
 
 TEST_F(AdversarialPvmFixture, FullAdversaryStillDeliversExactlyOnceInOrder) {

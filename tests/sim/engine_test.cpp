@@ -6,6 +6,7 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <random>
 #include <string>
@@ -119,6 +120,40 @@ TEST(Engine, SchedulingInThePastClampsToNow) {
   });
   eng.run();
   EXPECT_DOUBLE_EQ(fired_at, 4.0);
+}
+
+TEST(Engine, NanTimesAreRejectedWhereTheyAreScheduled) {
+  // A NaN time compares false against everything, so it could slip past
+  // the past-time clamp, wait in the queue, and trip an invariant only when
+  // it popped.  Both entry points reject it up front; the events around it
+  // keep their order and the run completes.
+  Engine eng;
+  std::vector<int> fired;
+  const auto at = [&](int t) {
+    eng.schedule_at(t, [&fired, t] { fired.push_back(t); });
+  };
+  at(3);
+  at(1);
+  at(2);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  try {
+    eng.schedule_at(nan, [] {});
+    FAIL() << "schedule_at accepted a NaN time";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("event time is NaN"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(eng.schedule_in(nan, [] {}), ContractError);
+  at(5);
+  at(4);
+  EXPECT_EQ(eng.pending_count(), 5u);
+  EXPECT_NO_THROW(eng.run());
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5}));
+  // +infinity stays legal: kForever parks an event that never comes due.
+  const EventId parked = eng.schedule_at(kForever, [] {});
+  eng.run_until(1e9);
+  EXPECT_TRUE(eng.pending(parked));
 }
 
 TEST(Engine, CancelPreventsExecution) {

@@ -179,6 +179,46 @@ TEST(Rng, ZigguratFollowsTheNormalCdf) {
   EXPECT_LT(chi2, 131.37);
 }
 
+TEST(Rng, ZigguratOuterStripsHoldTheNormalMass) {
+  // The wedges are where a broken ziggurat hides: they hold 0.8% of the
+  // mass, too little for the CDF bins above to resolve.  Between x2 and R
+  // every draw of layer 1 lands in its wedge, and between x3 and x2 most of
+  // layer 2's do, so the draws counted in those two strips test the wedge
+  // acceptance itself.  A wedge that always or never accepts moves the outer
+  // strip by a third of its mass; a straight chord between the layer edges
+  // in place of the curve over-samples it by 4.0% and the next one by 1.4%
+  // (7.0 and 2.7 sigma at 10^8 draws).  Each strip must hold its exact
+  // normal mass within 5 sigma.
+  constexpr double kV = 4.92867323399e-3;  // the area of every layer
+  const auto next_edge = [&](double x) {
+    return std::sqrt(-2.0 * std::log(kV / x + std::exp(-0.5 * x * x)));
+  };
+  const double x2 = next_edge(kZigguratR);
+  const double x3 = next_edge(x2);
+  EXPECT_NEAR(x2, 3.449278, 1e-6);
+  EXPECT_NEAR(x3, 3.320245, 1e-6);
+
+  constexpr int kDraws = 100'000'000;
+  Rng r(31);
+  std::int64_t outer = 0, inner = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double a = std::abs(r.normal_ziggurat());
+    if (a >= x3 && a < kZigguratR) ++(a >= x2 ? outer : inner);
+  }
+  const auto mass = [](double lo, double hi) {  // P(lo <= |z| < hi)
+    return std::erfc(lo / std::sqrt(2.0)) - std::erfc(hi / std::sqrt(2.0));
+  };
+  const auto sigmas = [&](std::int64_t count, double p) {
+    const double expect = kDraws * p;
+    return (static_cast<double>(count) - expect) /
+           std::sqrt(expect * (1.0 - p));
+  };
+  EXPECT_LT(std::abs(sigmas(outer, mass(x2, kZigguratR))), 5.0)
+      << outer << " draws in [x2, R)";
+  EXPECT_LT(std::abs(sigmas(inner, mass(x3, x2))), 5.0)
+      << inner << " draws in [x3, x2)";
+}
+
 TEST(Rng, ChanceExtremes) {
   Rng r(3);
   for (int i = 0; i < 100; ++i) {

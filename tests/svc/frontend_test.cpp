@@ -62,19 +62,6 @@ TEST_F(SvcEnv, OpenLoopRunResolvesEveryRequestExactlyOnce) {
   EXPECT_TRUE(auditor.ok()) << obs::TraceAuditor::format(auditor.audit());
 }
 
-TEST_F(SvcEnv, LocalityAffineWithOneKeyPinsOneWorker) {
-  FrontendOptions opt;
-  opt.route = RouteKind::kLocalityAffine;
-  opt.affinity_keys = 1;  // every request shares the one home worker
-  opt.service_demand = 2e-3;
-  Frontend front(vm, std::make_unique<PoissonArrivals>(80.0, 3), opt);
-  front.launch(fe, {&w0, &w1, &w2}, 3.0);
-  eng.run_until(3.0 + opt.timeout + 10.0);
-
-  EXPECT_GT(front.completed(), 100u);
-  EXPECT_EQ(serve_tracks().size(), 1u);
-}
-
 TEST_F(SvcEnv, OverloadedWorkerTimesOutCensored) {
   FrontendOptions opt;
   opt.route = RouteKind::kRoundRobin;
