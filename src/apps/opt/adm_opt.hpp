@@ -65,7 +65,8 @@ struct AdmOptConfig {
   /// responsive, more overhead.
   std::size_t chunk_items = 512;
   /// Optional per-slave capacity weights for repartitioning (empty = equal
-  /// among active slaves).  Used by the granularity ablation.
+  /// among active slaves).  Used by the granularity ablation (A2) and the
+  /// heterogeneous_adm example.
   std::vector<double> partition_weights{};
 };
 
@@ -106,28 +107,6 @@ class AdmOpt {
   bool post_event(int slave, adm::AdmEventKind kind,
                   std::optional<std::uint64_t> epoch = std::nullopt,
                   obs::TraceContext ctx = {});
-
-  /// Replace the per-slave capacity weights used by the next repartition
-  /// (what the GS's index placement policies do before posting a rebalance:
-  /// lighter hosts get heavier weights, so the exemplars flow toward them).
-  /// Empty restores equal shares; otherwise one non-negative weight per
-  /// slave, with at least one strictly positive.
-  void set_partition_weights(std::vector<double> w) {
-    CPE_EXPECTS((w.empty() ||
-                 w.size() == static_cast<std::size_t>(cfg_.opt.nslaves)) &&
-                "AdmOpt partition weights must be empty or one per slave");
-    double total = 0;
-    for (double x : w) {
-      CPE_EXPECTS(x >= 0 && "AdmOpt partition weights must be >= 0");
-      total += x;
-    }
-    CPE_EXPECTS((w.empty() || total > 0) &&
-                "AdmOpt partition weights must not all be zero");
-    cfg_.partition_weights = std::move(w);
-  }
-  [[nodiscard]] const std::vector<double>& partition_weights() const noexcept {
-    return cfg_.partition_weights;
-  }
 
   /// Install the fencing token shared with the (replicated) scheduler.
   void set_fence(std::shared_ptr<pvm::MigrationFence> fence) noexcept {

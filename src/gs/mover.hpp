@@ -4,7 +4,8 @@
 // systems differ in mechanism only.  So the GS's vacate and rebalance
 // drivers speak this interface, and one adapter per system maps it onto its
 // protocol: MPVM (unit = the task's logical tid) and UPVM (unit = 2^40 + the
-// ULP instance).  ADM slaves, posted to directly, take 2^41 + slave.
+// ULP instance).  ADM moves no unit: the GS posts its slaves withdraw and
+// rejoin events directly, on owner events only.
 #pragma once
 
 #include <cstddef>

@@ -477,16 +477,6 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
   views.reserve(vm_->daemons().size());
   const sim::Time now = vm_->engine().now();
 
-  // Movable units per host: the MPVM tasks and ULPs each mover counts on
-  // the host, plus the ADM slaves that currently live there.  (The legacy
-  // Threshold policy ignores this; the index policies use it to avoid
-  // aiming at hosts with nothing to shed.)
-  std::unordered_map<const os::Host*, int> slaves;
-  if (adm_ != nullptr) {
-    for (int s = 0; s < adm_->slaves_spawned(); ++s)
-      if (os::Host* h = adm_host(s)) ++slaves[h];
-  }
-
   for (const auto& d : vm_->daemons()) {
     os::Host& h = d->host();
     const double instant = h.cpu().load();
@@ -521,11 +511,12 @@ std::vector<load::HostLoadView> GlobalScheduler::build_views() const {
         if (now - t0 < policy_.staleness_bound) index += delta;
       index = std::max(index, 0.0);
     }
+    // Movable units: the MPVM tasks and ULPs each mover counts on the host.
+    // (The legacy Threshold policy ignores this; the index policies use it
+    // to avoid aiming at hosts with nothing to shed.)
     int movable = 0;
     for (const std::unique_ptr<Mover>& m : movers_)
       if (m != nullptr) movable += static_cast<int>(m->count_on(h));
-    if (const auto sl = slaves.find(&h); sl != slaves.end())
-      movable += sl->second;
     views.emplace_back(&h, instant, dest_rank, index, age, movable, h.up(),
                        !is_blacklisted(h));
     // Queueing pressure from the service layer (0 without a source: batch
@@ -580,7 +571,7 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
     pending_shift_[action.to].emplace_back(now, +1.0);
     engine_.record_settle(action.from, action.to, now, policy_.min_residency);
   }
-  // Each method driver owns a "gs.rebalance" root; the decision itself is
+  // Each mover's move owns a "gs.rebalance" root; the decision itself is
   // recorded as a closed "load.decide" child so the trace shows *why* the
   // migration below it happened (and the auditor can demand the linkage).
   // Both spans are opened synchronously here — only the root's SpanId rides
@@ -615,43 +606,6 @@ void GlobalScheduler::execute_rebalance(const load::PlacementAction& action) {
       vm_->spans().annotate(root, tag.key, tag.value);
       sim::spawn(vm_->engine(),
                  rebalance_unit(m.get(), unit, dst, root, ticket));
-      break;
-    }
-  }
-  if (adm_ != nullptr) {
-    // ADM rebalances by repartitioning rather than by moving a VP.  Under
-    // an index policy, skew the partition weights by observed load first,
-    // so the repartition actually shifts exemplars toward lighter hosts.
-    if (!legacy) {
-      std::vector<double> weights;
-      weights.reserve(static_cast<std::size_t>(adm_->nslaves()));
-      for (int s = 0; s < adm_->nslaves(); ++s) {
-        double w = 1.0;
-        if (os::Host* h = adm_host(s)) {
-          double index = h->cpu().load();
-          if (exchange_ != nullptr && gs_host_ != nullptr) {
-            if (const auto e = exchange_->entry_at(*gs_host_, *h))
-              index = e->sample.index;
-          }
-          w = h->cpu().speed() / (1.0 + index);
-        }
-        weights.push_back(w);
-      }
-      adm_->set_partition_weights(std::move(weights));
-    }
-    for (int s = 0; s < adm_->slaves_spawned(); ++s) {
-      if (adm_host(s) != &host) continue;
-      if (!engine_.may_move(unit_of_slave(s), now, policy_.min_residency))
-        continue;
-      obs::SpanTracer& sp = vm_->spans();
-      const obs::SpanId root = open_spans(s);
-      sp.annotate(root, "slave", std::to_string(s));
-      const bool posted = adm_->post_event(
-          s, adm::AdmEventKind::kRebalance, stamp(), sp.context_of(root));
-      sp.end_span(root,
-                  posted ? obs::SpanStatus::kOk : obs::SpanStatus::kFenced);
-      if (posted)
-        engine_.record_move(unit_of_slave(s), now, policy_.min_residency);
       break;
     }
   }

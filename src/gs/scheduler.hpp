@@ -346,8 +346,9 @@ class GlobalScheduler {
   /// readings always, gossiped index + age when an exchange is attached.
   [[nodiscard]] std::vector<load::HostLoadView> build_views() const;
   [[nodiscard]] load::PlacementParams placement_params() const;
-  /// Launch one rebalance per attached method for one placement action (one
-  /// victim each, exactly like the legacy monitor).
+  /// Launch one rebalance per attached mover for one placement action (one
+  /// victim each, exactly like the legacy monitor).  ADM takes no part: its
+  /// slaves move only on owner events.
   void execute_rebalance(const load::PlacementAction& action);
   /// Crash fallout: report lost tasks, launch checkpoint recoveries.
   void handle_host_down(os::Host& host);
@@ -357,10 +358,6 @@ class GlobalScheduler {
   void note(std::string what, bool ok,
             DecisionReason reason = DecisionReason::kNone, double load = 0);
 
-  /// ADM slave `s`'s unit id, in the range the movers leave to ADM.
-  [[nodiscard]] static std::int64_t unit_of_slave(int s) noexcept {
-    return (std::int64_t{1} << 41) + s;
-  }
   /// The epoch stamp for subsystem commands (nullopt in legacy single-GS
   /// deployments, where epoch_ stays 0 and no fence is installed).
   [[nodiscard]] std::optional<std::uint64_t> stamp() const noexcept {

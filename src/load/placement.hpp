@@ -295,7 +295,6 @@ class AdmissionController {
   explicit AdmissionController(int max_concurrent = 4)
       : max_(max_concurrent) {}
 
-  void set_max_concurrent(int k) noexcept { max_ = k; }
   [[nodiscard]] int max_concurrent() const noexcept { return max_; }
 
   /// Probe only: would a stream from `from` to `to` be admitted right now?

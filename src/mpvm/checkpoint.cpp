@@ -124,35 +124,7 @@ sim::Co<CkptVacateStats> Checkpointer::vacate_restart(pvm::Tid task,
   auto stream = co_await net::TcpStream::connect(vm_->network(),
                                                  server_->node(), dst.node());
   co_await stream->send(server_->node(), stats.image_bytes);
-
-  // Lost work: whatever the current burst consumed since the checkpoint
-  // covering it must be re-executed (the idempotency restriction §5.0).
-  if (burst) {
-    const bool same_burst = w.burst_at_ckpt.lock() == burst;
-    stats.redo_work =
-        same_burst ? burst->consumed - w.consumed_at_ckpt : burst->consumed;
-    burst->remaining += stats.redo_work;
-  }
-
-  // Physically move the process, re-enroll, and resume.
-  {
-    std::unique_ptr<os::Process> proc = src.release(t->process().pid());
-    CPE_ASSERT(proc != nullptr);
-    dst.adopt(std::move(proc));
-  }
-  const pvm::Tid fresh = vm_->retid(*t, dst);
-  const std::uint64_t repoch = vm_->bump_relocation_epoch(task);
-  for (pvm::Task* other : vm_->all_tasks()) {
-    if (other == t || other->exited()) continue;
-    pvm::Buffer b;
-    b.pk_int(task.raw());
-    b.pk_int(fresh.raw());
-    b.pk_uint(static_cast<std::uint32_t>(repoch));
-    t->runtime_send(other->tid(), kTagRestart, std::move(b));
-  }
-  if (burst && !burst->done) dst.cpu().adopt(burst);
-  stats.restart_done = eng.now();
-  history_.push_back(stats);
+  restart(*t, w, src, dst, burst, stats);
   co_return stats;
 }
 
@@ -234,6 +206,21 @@ sim::Co<CkptVacateStats> Checkpointer::recover(
     throw;
   }
 
+  restart(*t, w, src, dst, burst, stats);
+  sp.annotate(rec, "redo_work", std::to_string(stats.redo_work));
+  sp.end_span(rec, obs::SpanStatus::kOk);
+  vm_->metrics().counter("ckpt.recoveries").inc();
+  vm_->metrics()
+      .histogram("ckpt.recovery.time")
+      .record(stats.restart_done - stats.event_time);
+  vm_->metrics().histogram("ckpt.recovery.redo_work").record(stats.redo_work);
+  co_return stats;
+}
+
+void Checkpointer::restart(pvm::Task& t, const Watch& w, os::Host& src,
+                           os::Host& dst,
+                           const std::shared_ptr<os::CpuJob>& burst,
+                           CkptVacateStats& stats) {
   // Lost work: everything the burst consumed since its covering checkpoint
   // is re-executed (the idempotency restriction §5.0).
   if (burst) {
@@ -242,35 +229,18 @@ sim::Co<CkptVacateStats> Checkpointer::recover(
         same_burst ? burst->consumed - w.consumed_at_ckpt : burst->consumed;
     burst->remaining += stats.redo_work;
   }
-
-  // Physically move the process off the dead host, re-enroll, and resume.
+  // Physically move the process, re-enroll it, announce it to every other
+  // task (a checkpoint knows no correspondent set), and resume.
   {
-    std::unique_ptr<os::Process> proc = src.release(t->process().pid());
+    std::unique_ptr<os::Process> proc = src.release(t.process().pid());
     CPE_ASSERT(proc != nullptr);
     dst.adopt(std::move(proc));
   }
-  const pvm::Tid fresh = vm_->retid(*t, dst);
-  const std::uint64_t repoch = vm_->bump_relocation_epoch(task);
-  for (pvm::Task* other : vm_->all_tasks()) {
-    if (other == t || other->exited()) continue;
-    pvm::Buffer b;
-    b.pk_int(task.raw());
-    b.pk_int(fresh.raw());
-    b.pk_uint(static_cast<std::uint32_t>(repoch));
-    t->runtime_send(other->tid(), kTagRestart, std::move(b));
-  }
+  reenroll(*vm_, t, dst, vm_->all_tasks());
   if (burst && !burst->done && burst->scheduler == nullptr)
     dst.cpu().adopt(burst);
-  stats.restart_done = eng.now();
-  sp.annotate(rec, "redo_work", std::to_string(stats.redo_work));
-  sp.end_span(rec, obs::SpanStatus::kOk);
-  vm_->metrics().counter("ckpt.recoveries").inc();
-  vm_->metrics()
-      .histogram("ckpt.recovery.time")
-      .record(stats.restart_done - stats.event_time);
-  vm_->metrics().histogram("ckpt.recovery.redo_work").record(stats.redo_work);
+  stats.restart_done = vm_->engine().now();
   history_.push_back(stats);
-  co_return stats;
 }
 
 }  // namespace cpe::mpvm

@@ -136,6 +136,12 @@ class Checkpointer {
 
   [[nodiscard]] sim::Co<void> checkpoint_loop(pvm::Tid task, Watch* w);
   [[nodiscard]] sim::Co<void> write_checkpoint(pvm::Task& t, Watch& w);
+  /// The restart both paths end in once the image is on `dst`: charge the
+  /// work since `w`'s checkpoint to `burst`, move the process off `src`,
+  /// re-enroll and announce it, resume the burst, and record `stats`.
+  void restart(pvm::Task& t, const Watch& w, os::Host& src, os::Host& dst,
+               const std::shared_ptr<os::CpuJob>& burst,
+               CkptVacateStats& stats);
 
   pvm::PvmSystem* vm_;
   os::Host* server_;

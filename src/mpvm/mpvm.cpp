@@ -11,6 +11,22 @@ namespace {
 constexpr std::size_t kTransferChunkBytes = 256 * 1024;
 }  // namespace
 
+Reenrollment reenroll(pvm::PvmSystem& vm, pvm::Task& t, os::Host& dst,
+                      std::span<pvm::Task* const> peers) {
+  Reenrollment re;
+  re.fresh = vm.retid(t, dst);
+  re.epoch = vm.bump_relocation_epoch(t.tid());
+  for (pvm::Task* other : peers) {
+    if (other == &t || other->exited()) continue;
+    pvm::Buffer b;
+    b.pk_int(t.tid().raw());
+    b.pk_int(re.fresh.raw());
+    b.pk_uint(static_cast<std::uint32_t>(re.epoch));
+    t.runtime_send(other->tid(), kTagRestart, std::move(b));
+  }
+  return re;
+}
+
 std::string_view to_string(MigrationStage s) {
   switch (s) {
     case MigrationStage::kEvent: return "event";
@@ -595,28 +611,19 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
     notify_stage(victim, MigrationStage::kFailed);
     co_return stats;
   }
-  const pvm::Tid fresh = vm_->retid(*t, dst);
-  // Fencing epoch: everything announcing this move (restart broadcast now,
-  // residual route updates later) carries it, so mappings from superseded
-  // migrations can never regress a peer's view.
-  const std::uint64_t mepoch = vm_->bump_relocation_epoch(victim);
-  sp.annotate(mig, "mig_epoch", std::to_string(mepoch));
-  for (pvm::Task* other : others) {
-    if (other->exited()) continue;
-    pvm::Buffer b;
-    b.pk_int(victim.raw());
-    b.pk_int(fresh.raw());
-    b.pk_uint(static_cast<std::uint32_t>(mepoch));
-    t->runtime_send(other->tid(), kTagRestart, std::move(b));
-  }
+  // Only the flush scope hears the restart.  The fencing epoch it carries
+  // also rides every later residual route update, so mappings from
+  // superseded migrations can never regress a peer's view.
+  const Reenrollment re = reenroll(*vm_, *t, dst, others);
+  sp.annotate(mig, "mig_epoch", std::to_string(re.epoch));
   // Arm the old host's forwarding stub: messages from tasks outside the
   // flush scope that raced the move bounce off it to the new home, and each
   // such sender is taught the new mapping (on_residual_forward).
   {
     Residual r;
     r.ctx = mig_ctx;
-    r.fresh = fresh;
-    r.epoch = mepoch;
+    r.fresh = re.fresh;
+    r.epoch = re.epoch;
     r.expires = eng.now() + tuning_.residual_window;
     residuals_[victim.raw()] = std::move(r);
   }
@@ -625,7 +632,7 @@ sim::Co<MigrationStats> Mpvm::migrate(pvm::Tid victim, os::Host& dst,
   if (!t->exited() && dst.up() && frozen_burst && !frozen_burst->done)
     dst.cpu().adopt(frozen_burst);
   stats.restart_done = eng.now();
-  sp.annotate(stage, "new_tid", fresh.str());
+  sp.annotate(stage, "new_tid", re.fresh.str());
   sp.end_span(stage, obs::SpanStatus::kOk);
   sp.end_span(mig, obs::SpanStatus::kOk);
   t->clear_trace_context();

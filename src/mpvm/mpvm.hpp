@@ -38,6 +38,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,6 +60,22 @@ inline constexpr int kTagMigrateAbort = pvm::kControlTagBase + 4;
 /// task's old tid: carries the new mapping plus its migration epoch so the
 /// sender's next message goes direct instead of bouncing off the old host.
 inline constexpr int kTagRouteUpdate = pvm::kControlTagBase + 5;
+
+/// A relocated task's new mapping: its fresh routing tid and the fencing
+/// epoch that orders this relocation against earlier ones.
+struct Reenrollment {
+  pvm::Tid fresh{};
+  std::uint64_t epoch = 0;
+};
+
+/// The restart step every relocation ends in — MPVM's stage 4 and the
+/// Checkpointer's restart from a server image alike.  `t`'s process has
+/// already moved to `dst`: re-enroll it there under a fresh tid, bump its
+/// relocation epoch, and send each live task in `peers` (other than `t`) the
+/// kTagRestart announcement (task, fresh tid, epoch) that installs the
+/// mapping and reopens its send gate.
+Reenrollment reenroll(pvm::PvmSystem& vm, pvm::Task& t, os::Host& dst,
+                      std::span<pvm::Task* const> peers);
 
 class MigrationError : public Error {
  public:
@@ -220,13 +237,6 @@ class Mpvm {
   /// `victim` is pending or an abort was already requested.  The GS
   /// deadlock watchdog calls this for migrations stalled past deadline.
   bool request_abort(pvm::Tid victim, std::string reason);
-
-  /// Fencing epoch of `task`'s newest *completed* relocation (0 when it has
-  /// never moved).  Restart broadcasts and residual route updates carry it;
-  /// receivers drop mappings older than what they already installed.
-  [[nodiscard]] std::uint64_t migration_epoch(pvm::Tid task) const {
-    return vm_->relocation_epoch(task);
-  }
 
   /// Stage observers fire synchronously as each protocol stage completes
   /// (fault injectors use this to crash hosts at precise protocol points).

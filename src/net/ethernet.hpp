@@ -85,9 +85,6 @@ class Ethernet {
   [[nodiscard]] std::uint64_t total_payload_bytes() const noexcept {
     return total_payload_bytes_;
   }
-  [[nodiscard]] std::size_t queued_senders() const noexcept {
-    return medium_.waiting();
-  }
 
   // -- Attachment (fault model) ---------------------------------------------
   // A node is attached unless a host crash, freeze, or network partition

@@ -52,8 +52,6 @@ class TcpStream {
   /// Receive the next delivery addressed to `at`.
   [[nodiscard]] sim::Co<Delivery> recv(NodeId at);
 
-  [[nodiscard]] NodeId node_a() const noexcept { return a_; }
-  [[nodiscard]] NodeId node_b() const noexcept { return b_; }
   [[nodiscard]] const TcpParams& params() const noexcept { return params_; }
 
   /// Time the model needs to push `bytes` through an *established* stream on

@@ -6,10 +6,6 @@ Process::Process(Host& host, Pid pid, std::string name)
     : host_(&host), pid_(pid), name_(std::move(name)),
       library_exited_(host.engine()) {}
 
-Process::~Process() {
-  for (sim::EventId ev : pending_signals_) host_->engine().cancel(ev);
-}
-
 void Process::run(sim::Co<void> program) {
   CPE_EXPECTS(alive_);
   program_ = sim::launch(host_->engine(), std::move(program));
@@ -20,33 +16,6 @@ void Process::kill() noexcept {
   alive_ = false;
   program_.abort();
   active_burst.reset();
-}
-
-void Process::set_signal_handler(Signal sig, std::function<void()> handler) {
-  for (auto& [s, h] : handlers_) {
-    if (s == sig) {
-      h = std::move(handler);
-      return;
-    }
-  }
-  handlers_.emplace_back(sig, std::move(handler));
-}
-
-void Process::deliver_signal(Signal sig) {
-  if (!alive_) return;
-  for (const auto& [s, h] : handlers_) {
-    if (s == sig) {
-      pending_signals_.push_back(host_->engine().schedule_in(
-          host_->config().signal_latency, [this, handler = h] {
-            std::erase_if(pending_signals_, [this](sim::EventId ev) {
-              return !host_->engine().pending(ev);
-            });
-            if (alive_) handler();
-          }));
-      return;
-    }
-  }
-  // No handler installed: the modelled signals default to "ignore".
 }
 
 Process::LibraryGuard::~LibraryGuard() {

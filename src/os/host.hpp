@@ -3,9 +3,10 @@
 // A Host is a workstation on the worknet: an arch tag (migration
 // compatibility), a relative CPU speed, a processor-sharing scheduler, and a
 // process table.  A Process models a Unix process: a memory image
-// (data/heap/stack segments — what MPVM must move), asynchronous signals with
-// delivery latency, the "inside the run-time library" re-entrancy guard that
-// MPVM's migration protocol honours, and the main program coroutine.
+// (data/heap/stack segments — what MPVM must move), the "inside the
+// run-time library" re-entrancy guard that MPVM's migration protocol
+// honours, and the main program coroutine.  Signals are not modelled as
+// objects: a migrator charges the host's signal latency as a plain delay.
 #pragma once
 
 #include <cstdint>
@@ -38,13 +39,6 @@ struct MemoryImage {
   }
 };
 
-enum class Signal : std::uint8_t {
-  kMigrate = 1,  ///< SIGMIGRATE: the mpvmd orders this process to move
-  kTerm = 2,
-  kUsr1 = 3,
-  kUsr2 = 4,
-};
-
 struct HostConfig {
   std::string name;
   std::string arch = "HPPA";  ///< migration-compatibility class (§3.3)
@@ -66,7 +60,6 @@ class Process {
   Process(Host& host, Pid pid, std::string name);
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
-  ~Process();
 
   [[nodiscard]] Host& host() const noexcept { return *host_; }
   [[nodiscard]] Pid pid() const noexcept { return pid_; }
@@ -83,13 +76,6 @@ class Process {
   /// Terminate: abort the program coroutine and mark the process dead.  The
   /// process table entry remains (a zombie) until the Host reaps it.
   void kill() noexcept;
-
-  // -- Signals ------------------------------------------------------------
-  void set_signal_handler(Signal sig, std::function<void()> handler);
-  /// Asynchronous delivery: the handler runs after the host's signal
-  /// latency.  Signals without a handler are ignored (the default for the
-  /// signals modelled here).  Delivery to a dead process is dropped.
-  void deliver_signal(Signal sig);
 
   // -- Run-time-library re-entrancy guard (paper §2.1) ---------------------
   /// While a task executes inside the PVM run-time library it must not be
@@ -145,8 +131,6 @@ class Process {
   int in_library_ = 0;
   sim::Trigger library_exited_;
   sim::ProcHandle program_;
-  std::vector<std::pair<Signal, std::function<void()>>> handlers_;
-  std::vector<sim::EventId> pending_signals_;
 };
 
 /// Host fault-model transitions, reported to observers.

@@ -40,7 +40,6 @@ sim::Co<void> StochasticOwner::host_loop(Host* host, sim::Time until,
                       reclaim ? OwnerAction::kReclaim : OwnerAction::kArrive,
                       params_.jobs);
     host->cpu().set_external_jobs(host->cpu().external_jobs() + params_.jobs);
-    ++events_;
     if (observer_) observer_(arrive);
 
     co_await sim::Delay(eng_, rng.exponential(params_.mean_busy));
@@ -48,7 +47,6 @@ sim::Co<void> StochasticOwner::host_loop(Host* host, sim::Time until,
     OwnerEvent depart(eng_.now(), *host, OwnerAction::kDepart, params_.jobs);
     const int remaining = host->cpu().external_jobs() - params_.jobs;
     host->cpu().set_external_jobs(remaining > 0 ? remaining : 0);
-    ++events_;
     if (observer_) observer_(depart);
   }
 }

@@ -93,10 +93,6 @@ class StochasticOwner {
   /// Run the generators until `until` (virtual time).
   void start(sim::Time until);
 
-  [[nodiscard]] std::size_t events_generated() const noexcept {
-    return events_;
-  }
-
  private:
   [[nodiscard]] sim::Co<void> host_loop(Host* host, sim::Time until,
                                         sim::Rng rng);
@@ -106,7 +102,6 @@ class StochasticOwner {
   Params params_;
   sim::Rng rng_;
   OwnerObserver observer_;
-  std::size_t events_ = 0;
 };
 
 }  // namespace cpe::os

@@ -89,11 +89,6 @@ class Pvmd {
   /// `hops` guards against forwarding loops.
   void deliver_local(Message m, int hops = 0);
 
-  /// Bytes queued behind the outgoing pump (diagnostics).
-  [[nodiscard]] std::size_t outgoing_backlog() const noexcept {
-    return outgoing_.size();
-  }
-
  private:
   struct Outgoing {
     Message msg;

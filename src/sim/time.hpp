@@ -12,9 +12,4 @@ using Time = double;
 /// A time later than any event the simulator will ever schedule.
 inline constexpr Time kForever = std::numeric_limits<Time>::infinity();
 
-/// Convenience literals for readable cost models.
-constexpr Time micros(double us) { return us * 1e-6; }
-constexpr Time millis(double ms) { return ms * 1e-3; }
-constexpr Time seconds(double s) { return s; }
-
 }  // namespace cpe::sim

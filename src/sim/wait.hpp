@@ -199,10 +199,6 @@ class Gate {
     while (!open_) co_await waiters_.wait(eng_);
   }
 
-  [[nodiscard]] std::size_t waiting() const noexcept {
-    return waiters_.size();
-  }
-
  private:
   Engine& eng_;
   bool open_;
@@ -218,9 +214,6 @@ class Semaphore {
       : eng_(eng), available_(initial) {}
 
   [[nodiscard]] std::size_t available() const noexcept { return available_; }
-  [[nodiscard]] std::size_t waiting() const noexcept {
-    return waiters_.size();
-  }
 
   [[nodiscard]] Co<void> acquire() {
     if (available_ > 0 && waiters_.empty()) {

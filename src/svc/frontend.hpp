@@ -110,7 +110,6 @@ class Frontend {
   [[nodiscard]] const std::vector<pvm::Tid>& worker_tids() const noexcept {
     return worker_tids_;
   }
-  [[nodiscard]] pvm::Tid frontend_tid() const noexcept { return ftid_; }
 
  private:
   struct Pending {

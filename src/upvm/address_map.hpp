@@ -100,10 +100,6 @@ class AddressSpaceMap {
   [[nodiscard]] std::size_t allocated() const noexcept { return allocated_; }
   /// High-water mark of distinct regions ever carved from the budget.
   [[nodiscard]] std::size_t carved() const noexcept { return carved_; }
-  /// Released regions awaiting reuse.
-  [[nodiscard]] std::size_t free_regions() const noexcept {
-    return free_.size();
-  }
 
   /// No two allocated regions overlap (DESIGN.md invariant 3).
   [[nodiscard]] bool disjoint() const {

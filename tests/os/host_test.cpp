@@ -77,42 +77,6 @@ TEST_F(HostFixture, ReapRemovesProcess) {
   h1.reap(pid);  // idempotent
 }
 
-TEST_F(HostFixture, SignalDeliveredAsynchronously) {
-  Process& p = h1.create_process("sig");
-  double handled_at = -1;
-  p.set_signal_handler(Signal::kMigrate, [&] { handled_at = eng.now(); });
-  eng.schedule_at(2.0, [&] { p.deliver_signal(Signal::kMigrate); });
-  eng.run();
-  EXPECT_NEAR(handled_at, 2.0 + h1.config().signal_latency, 1e-12);
-}
-
-TEST_F(HostFixture, SignalWithoutHandlerIgnored) {
-  Process& p = h1.create_process("sig");
-  p.deliver_signal(Signal::kUsr1);
-  eng.run();
-  SUCCEED();
-}
-
-TEST_F(HostFixture, SignalToDeadProcessDropped) {
-  Process& p = h1.create_process("sig");
-  bool handled = false;
-  p.set_signal_handler(Signal::kMigrate, [&] { handled = true; });
-  p.deliver_signal(Signal::kMigrate);
-  p.kill();  // dies before the handler latency elapses
-  eng.run();
-  EXPECT_FALSE(handled);
-}
-
-TEST_F(HostFixture, HandlerReplacement) {
-  Process& p = h1.create_process("sig");
-  int which = 0;
-  p.set_signal_handler(Signal::kUsr1, [&] { which = 1; });
-  p.set_signal_handler(Signal::kUsr1, [&] { which = 2; });
-  p.deliver_signal(Signal::kUsr1);
-  eng.run();
-  EXPECT_EQ(which, 2);
-}
-
 TEST_F(HostFixture, LibraryGuardTracksNesting) {
   Process& p = h1.create_process("lib");
   EXPECT_FALSE(p.in_library());
