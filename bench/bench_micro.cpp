@@ -142,7 +142,7 @@ void BM_ExemplarSynthesize(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     const opt::ExemplarSet set = opt::ExemplarSet::synthesize(n, rng);
-    benchmark::DoNotOptimize(set.to_wire().data());
+    benchmark::DoNotOptimize(set.image().data.get());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -151,6 +151,20 @@ void BM_ExemplarSynthesize(benchmark::State& state) {
       static_cast<std::int64_t>(n * calib::OptWorkload::exemplar_bytes));
 }
 BENCHMARK(BM_ExemplarSynthesize)->Arg(40'000);
+
+void BM_ExemplarChecksum(benchmark::State& state) {
+  // checksum() of a set that has not hashed its bytes yet, as a slave's
+  // adopted slice has not: decoding and hashing 10.4 MB of wire image.
+  sim::Rng rng(1);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const opt::ExemplarSet set = opt::ExemplarSet::synthesize(n, rng);
+  for (auto _ : state) {
+    const opt::ExemplarSet adopted = opt::ExemplarSet::adopt(set.image());
+    benchmark::DoNotOptimize(adopted.checksum());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ExemplarChecksum)->Arg(40'000);
 
 void BM_OptGradientRealMath(benchmark::State& state) {
   sim::Rng rng(1);

@@ -34,6 +34,15 @@
 #                          # bench_load_scale, bench_service_tail and every
 #                          # example, each in a fresh directory, and fail
 #                          # on any differing stdout or exit code
+#   ci/check.sh profile W [S]
+#                          # sampled host-time profile of perfbench workload
+#                          # W (seed 1, S seconds, default 20): build
+#                          # perfbench Release with frame pointers into
+#                          # build-profile/, run it under a SIGPROF sampler
+#                          # (ci/profile_sampler.c, LD_PRELOAD), and print
+#                          # the child's rusage and the top self and
+#                          # inclusive symbols of the samples taken inside
+#                          # sim::Engine::run_until (the timed phase)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -444,6 +453,132 @@ print(f"slo drill: flight dump replayed offline — {len(replayed)} "
 EOF
 }
 
+# Sampled profile of one perfbench workload.  Frame-pointer stack walks
+# charge each coroutine body (`.actor`) to its own symbol, which gprof does
+# not, and keeping only the samples under sim::Engine::run_until leaves out
+# set-up and the post-run checks.
+run_profile() {
+  local workload="$1" seconds="$2" dir=build-profile
+  cmake -S perfbench -B "$dir" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS=-fno-omit-frame-pointer > /dev/null
+  cmake --build "$dir" --target perfbench -j "$(nproc)" > /dev/null
+  cc -O2 -shared -fPIC -o "$dir/profile_sampler.so" ci/profile_sampler.c
+  python3 - "$dir" "$workload" "$seconds" <<'EOF'
+import bisect, collections, os, re, subprocess, sys
+
+d, workload, seconds = sys.argv[1:4]
+out = os.path.abspath(os.path.join(d, f"profile-{workload}.txt"))
+env = dict(os.environ, CPE_PROFILE_OUT=out,
+           LD_PRELOAD=os.path.abspath(os.path.join(d, "profile_sampler.so")))
+child = subprocess.Popen(
+    [os.path.join(d, "perfbench"), "--workload", workload, "--seed", "1",
+     "--seconds", seconds, "--trace", "0"], stdout=subprocess.DEVNULL, env=env)
+_, status, ru = os.wait4(child.pid, 0)
+if status != 0:
+    sys.exit(f"check.sh profile: perfbench {workload} failed ({status:#x})")
+
+maps, samples, dropped, section = [], [], 0, None
+with open(out) as f:
+    for line in f:
+        if line.startswith("# maps"):
+            section = "maps"
+        elif line.startswith("# samples dropped"):
+            section, dropped = "samples", int(line.split()[-1])
+        elif section == "maps":
+            parts = line.split(maxsplit=5)
+            if len(parts) == 6 and "x" in parts[1]:
+                lo, hi = (int(x, 16) for x in parts[0].split("-"))
+                maps.append((lo, hi, int(parts[2], 16), parts[5].strip()))
+        elif section == "samples" and line.strip():
+            samples.append([int(x, 16) for x in line.split()])
+maps.sort()
+
+def short(name):
+    """Drop the parameter list, keeping `[clone ...]` suffixes."""
+    m = re.search(r"( \[clone [^\]]*\])+$", name)
+    suffix = m.group(0) if m else ""
+    name = name[:m.start()] if m else name
+    name = name[:-len(" const")] if name.endswith(" const") else name
+    depth = 0
+    for i in range(len(name) - 1, -1, -1):
+        if name[i] == ")":
+            depth += 1
+        elif name[i] == "(" and depth > 0:
+            depth -= 1
+            if depth == 0:
+                return name[:i] + suffix
+        elif depth == 0:
+            break
+    return name + suffix
+
+modules = {}
+def module(path):
+    """LOAD segments (offset, vaddr, size) and sized function symbols."""
+    if path not in modules:
+        segs = []
+        hdrs = subprocess.run(["readelf", "-lW", path], capture_output=True,
+                              text=True).stdout
+        for l in hdrs.splitlines():
+            f = l.split()
+            if f and f[0] == "LOAD":
+                segs.append((int(f[1], 16), int(f[2], 16), int(f[4], 16)))
+        syms = []
+        for extra in ([], ["-D"]):
+            listing = subprocess.run(["nm", "-C", "-S", "--defined-only",
+                                      *extra, path], capture_output=True,
+                                     text=True).stdout
+            for l in listing.splitlines():
+                m = re.match(r"([0-9a-f]+) ([0-9a-f]+) [tTwWiI] (.*)", l)
+                if m:
+                    syms.append((int(m[1], 16), int(m[2], 16), short(m[3])))
+            if syms:
+                break
+        syms.sort()
+        modules[path] = (segs, [s[0] for s in syms], syms)
+    return modules[path]
+
+names = {}
+def resolve(pc):
+    if pc in names:
+        return names[pc]
+    name = "[unknown]"
+    i = bisect.bisect_right(maps, (pc, float("inf"))) - 1
+    if i >= 0 and maps[i][0] <= pc < maps[i][1]:
+        lo, _, off, path = maps[i]
+        name = f"[{os.path.basename(path)}]"
+        if not path.startswith("["):
+            segs, addrs, syms = module(path)
+            foff = pc - lo + off
+            for so, sv, sz in segs:
+                if so <= foff < so + sz:
+                    va = foff - so + sv
+                    k = bisect.bisect_right(addrs, va) - 1
+                    if k >= 0 and va < syms[k][0] + max(syms[k][1], 1):
+                        name = syms[k][2]
+                    break
+    names[pc] = name
+    return name
+
+stacks = [[resolve(pc) for pc in s] for s in samples]
+timed = [s for s in stacks
+         if any(n.startswith("cpe::sim::Engine::run_until") for n in s)]
+print(f"profile {workload} seed 1 --seconds {seconds}: {len(timed)} of "
+      f"{len(stacks)} samples under sim::Engine::run_until "
+      f"({dropped} dropped)")
+print(f"  child rusage: {ru.ru_utime:.2f} s user, {ru.ru_stime:.2f} s "
+      f"system, {ru.ru_minflt} minor faults, peak RSS "
+      f"{ru.ru_maxrss / 1024:.1f} MiB (sampler included)")
+if not timed:
+    sys.exit("check.sh profile: no sample under sim::Engine::run_until")
+self_count = collections.Counter(s[0] for s in timed)
+incl_count = collections.Counter(n for s in timed for n in set(s))
+for title, counts in (("self", self_count), ("inclusive", incl_count)):
+    print(f"  top {title}:")
+    for n, c in counts.most_common(25):
+        print(f"    {100 * c / len(timed):6.2f}%  {n[:150]}")
+EOF
+}
+
 mode="${1:-all}"
 
 case "$mode" in
@@ -482,6 +617,13 @@ case "$mode" in
     fi
     run_parity "$2"
     ;;
+  profile)
+    if [[ $# -lt 2 || -z "$2" ]]; then
+      echo "usage: $0 profile <workload> [seconds]" >&2
+      exit 2
+    fi
+    run_profile "$2" "${3:-20}"
+    ;;
   all)
     run_suite build -DCPE_WARNINGS_AS_ERRORS=ON
     run_suite build-asan -DCPE_SANITIZE=address
@@ -491,7 +633,7 @@ case "$mode" in
     run_bench_slo
     ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all|digest <rev>|parity <rev>]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all|digest <rev>|parity <rev>|profile <workload> [seconds]]" >&2
     exit 2
     ;;
 esac

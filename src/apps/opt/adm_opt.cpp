@@ -4,26 +4,16 @@
 
 namespace cpe::opt {
 
-namespace {
-/// Pack an exemplar batch with its processed flags (they must travel, or a
-/// receiver would reprocess work already counted — §4.3.1).
 void pack_move(pvm::Buffer& b, const ExemplarSet& batch) {
-  // Flags first: the arena is sized to its first item, so flags packed
-  // after the floats would regrow and copy the whole float image.
   b.pk_byte(std::as_bytes(std::span(batch.flags_image())));
-  b.pk_float(batch.to_wire());
+  b.pk_float_image(batch.image());
 }
 
 ExemplarSet unpack_move(pvm::Buffer& b) {
   std::vector<std::uint8_t> flags(b.next_count());
   b.upk_byte(std::as_writable_bytes(std::span(flags)));
-  ExemplarSet::Wire wire(b.next_count());
-  b.upk_float(wire);
-  ExemplarSet batch = ExemplarSet::from_wire(std::move(wire));
-  batch.load_flags(flags);
-  return batch;
+  return ExemplarSet::adopt(b.upk_float_image(), std::move(flags));
 }
-}  // namespace
 
 AdmOpt::AdmOpt(pvm::PvmSystem& vm, AdmOptConfig cfg)
     : vm_(&vm),
@@ -179,13 +169,13 @@ sim::Co<void> AdmOpt::master_main(pvm::Task& t) {
     total_items = data.size();
     t.process().image().data_bytes = data.bytes() + Network::bytes();
 
-    // Pack each share straight from the set's wire image.
+    // Pack each share by reference to the set's wire image.
     counts = adm::equal_shares(total_items,
                                static_cast<std::size_t>(cfg_.opt.nslaves));
     std::size_t first = 0;
     for (int s = 0; s < cfg_.opt.nslaves; ++s) {
       const std::size_t count = counts[static_cast<std::size_t>(s)];
-      t.initsend().pk_float(data.to_wire(first, count));
+      t.initsend().pk_float_image(data.image(first, count));
       first += count;
       co_await t.send(slave_tids_[static_cast<std::size_t>(s)], kTagData);
     }
@@ -301,7 +291,8 @@ sim::Co<void> AdmOpt::do_moves(pvm::Task& t, int me, ExemplarSet& mine,
       pvm::Message m = co_await t.recv(
           slave_tids_[static_cast<std::size_t>(mv.from)].raw(), kTagMove);
       ExemplarSet batch = unpack_move(t.rbuf());
-      // Integrate: copy into the working set and extend the flag array.
+      // Integrate: charged as copying into the working set (the batch's
+      // bytes are shared, not copied) and extending the flag array.
       co_await t.compute(static_cast<double>(batch.bytes()) * 8.0 /
                          ac.integrate_bps);
       mine.append(batch);
@@ -339,9 +330,7 @@ sim::Co<void> AdmOpt::slave_main(pvm::Task& t, int me) {
 
   // Initial slice.
   co_await t.recv(pvm::kAny, kTagData);
-  ExemplarSet::Wire wire(t.rbuf().next_count());
-  t.rbuf().upk_float(wire);
-  ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
+  ExemplarSet mine = ExemplarSet::adopt(t.rbuf().upk_float_image());
   t.process().image().data_bytes = mine.bytes();
   if (++slaves_ready_count_ >= cfg_.opt.nslaves) slaves_ready_.fire();
 

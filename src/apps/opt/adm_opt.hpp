@@ -46,6 +46,13 @@ inline constexpr int kTagFinalReport = 115; ///< slave -> master: checksum
 inline constexpr int kTagEventNotify = 116; ///< self: wake a blocked recv
 inline constexpr int kTagSlaveLost = 117;   ///< pvm_notify: a slave exited
 
+/// A kTagMove body: an exemplar batch with its processed flags (they must
+/// travel, or a receiver would reprocess work already counted — §4.3.1).
+/// The batch's wire image is packed by reference, and the receiver's batch
+/// adopts the unpacked view of it.
+void pack_move(pvm::Buffer& b, const ExemplarSet& batch);
+[[nodiscard]] ExemplarSet unpack_move(pvm::Buffer& b);
+
 /// One completed ADM redistribution, as seen by the slave that triggered it.
 struct AdmRedistStats {
   int slave = -1;

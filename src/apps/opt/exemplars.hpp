@@ -5,20 +5,28 @@
 // vectors, each carrying its category as a scalar.  We synthesize the same
 // structure — Gaussian class clusters in feature space — at the paper's data
 // sizes (0.6 to 20.8 MB; 9 MB for the quiet-case runs).  The vectors are
-// real data: they are packed into PVM messages byte-for-byte, moved by ADM
-// redistribution, and (at small scale) actually trained on.
+// real data: they travel in PVM messages byte for byte, are moved by ADM
+// redistribution, and (at small scale) are actually trained on.
+//
+// A set holds its exemplars as they travel: the XDR (big-endian) wire image,
+// 260 B per exemplar, kept in a short list of shared, immutable segments.
+// A master packs a share by reference to its segment, a slave adopts the
+// bytes it unpacks, and take_back() and append() split and splice segments,
+// so no exemplar is copied after synthesize() writes it — except that
+// image() concatenates a range that spans segments into one new block.
+// features(), category() and checksum() decode on read.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "calib/costs.hpp"
+#include "pvm/buffer.hpp"
 #include "sim/random.hpp"
-#include "sim/uninit_alloc.hpp"
 
 namespace cpe::opt {
 
@@ -27,27 +35,24 @@ inline constexpr int kClasses = 16;    ///< speech categories
 
 class ExemplarSet {
  public:
-  /// Floats per exemplar in the stored (and wire) layout: the features,
-  /// then the category.
+  /// Floats per exemplar in the wire layout: the features, then the
+  /// category.
   static constexpr std::size_t kStride = calib::OptWorkload::exemplar_floats;
   static_assert(kStride == static_cast<std::size_t>(kInputDim) + 1);
-  /// Storage for a wire image.  Its sized constructor and resize() leave
-  /// the floats uninitialized: synthesize() and every receiver that unpacks
-  /// a share overwrite them all at once, so zero-filling first is waste.
-  using Wire = sim::UninitVector<float>;
+  using Features = std::array<float, kInputDim>;
 
   ExemplarSet() = default;
   ExemplarSet(const ExemplarSet&) = default;
   ExemplarSet& operator=(const ExemplarSet&) = default;
   /// A moved-from set is empty, its flag bookkeeping and checksum included.
   ExemplarSet(ExemplarSet&& other) noexcept
-      : wire_(std::move(other.wire_)),
+      : segs_(std::move(other.segs_)),
         processed_(std::move(other.processed_)),
         unprocessed_(std::exchange(other.unprocessed_, 0)),
         first_unprocessed_(std::exchange(other.first_unprocessed_, 0)),
         checksum_(std::exchange(other.checksum_, std::nullopt)) {}
   ExemplarSet& operator=(ExemplarSet&& other) noexcept {
-    wire_ = std::move(other.wire_);
+    segs_ = std::move(other.segs_);
     processed_ = std::move(other.processed_);
     unprocessed_ = std::exchange(other.unprocessed_, 0);
     first_unprocessed_ = std::exchange(other.first_unprocessed_, 0);
@@ -72,14 +77,9 @@ class ExemplarSet {
     return size() * calib::OptWorkload::exemplar_bytes;
   }
 
-  [[nodiscard]] std::span<const float> features(std::size_t i) const {
-    CPE_EXPECTS(i < size());
-    return {wire_.data() + i * kStride, kInputDim};
-  }
-  [[nodiscard]] int category(std::size_t i) const {
-    CPE_EXPECTS(i < size());
-    return static_cast<int>(wire_[i * kStride + kInputDim]);
-  }
+  /// Exemplar i's features and category, decoded from the wire image.
+  [[nodiscard]] Features features(std::size_t i) const;
+  [[nodiscard]] int category(std::size_t i) const;
 
   // -- Processed flags (ADM §4.3.1) -----------------------------------------
   /// The flag array ADMopt maintains so reshuffled exemplars are never
@@ -112,43 +112,36 @@ class ExemplarSet {
     return first_unprocessed_;
   }
 
-  /// The raw flag array, for shipping flags along with moved exemplars.
+  /// The raw flag array, for shipping flags along with moved exemplars
+  /// (a receiver adopts them with the image).
   [[nodiscard]] const std::vector<std::uint8_t>& flags_image() const noexcept {
     return processed_;
-  }
-  void load_flags(std::span<const std::uint8_t> flags) {
-    CPE_EXPECTS(flags.size() == size());
-    processed_.assign(flags.begin(), flags.end());
-    recount_flags();
   }
 
   // -- Redistribution primitives ---------------------------------------------
   /// Remove `count` exemplars from the back (flags travel with them).  ADM
   /// need not preserve ordering (§4.3), so taking from the back is fine.
+  /// Splits segments; no exemplar bytes are copied.
   [[nodiscard]] ExemplarSet take_back(std::size_t count);
-  /// Append another set's exemplars (a receiving slave integrating data).
+  /// Append another set's exemplars (a receiving slave integrating data),
+  /// sharing its segments.
   void append(const ExemplarSet& other);
 
-  // -- Wire form ---------------------------------------------------------------
-  /// Flat float image: 65 floats per exemplar (64 features + category), the
-  /// form Opt packs into PVM messages.  It is the stored layout, so this is
-  /// a view, valid until the set changes.
-  [[nodiscard]] std::span<const float> to_wire() const noexcept {
-    return wire_;
-  }
-  /// The wire image of exemplars [first, first + count): what a master
-  /// packs for one slave's share, without copying it out first.
-  [[nodiscard]] std::span<const float> to_wire(std::size_t first,
-                                               std::size_t count) const {
-    CPE_EXPECTS(first <= size() && count <= size() - first);
-    return to_wire().subspan(first * kStride, count * kStride);
-  }
-  /// Build a set from a wire image, all flags clear.  The Wire overload
-  /// adopts the unpacked image instead of copying it.
-  static ExemplarSet from_wire(std::span<const float> wire) {
-    return from_wire(Wire(wire.begin(), wire.end()));
-  }
-  static ExemplarSet from_wire(Wire&& wire);
+  // -- Wire image ------------------------------------------------------------
+  /// The XDR wire image of exemplars [first, first + count): 65 big-endian
+  /// floats per exemplar (64 features, then the category), what Opt packs
+  /// into PVM messages with Buffer::pk_float_image.  A view that shares the
+  /// set's segment when the range lies in one; a range that spans segments
+  /// is concatenated into a new block, the one byte copy on Opt's data path.
+  [[nodiscard]] pvm::SharedBytes image(std::size_t first,
+                                       std::size_t count) const;
+  [[nodiscard]] pvm::SharedBytes image() const { return image(0, size()); }
+  /// A set over a wire image (a whole number of exemplars), sharing its
+  /// bytes: what a receiver builds from Buffer::upk_float_image.  Flags
+  /// clear, or the given ones (one per exemplar).
+  static ExemplarSet adopt(pvm::SharedBytes image);
+  static ExemplarSet adopt(pvm::SharedBytes image,
+                           std::vector<std::uint8_t> flags);
 
   /// Order-insensitive content hash: redistribution must conserve the
   /// multiset of exemplars (DESIGN.md invariant 6).  Flags excluded.
@@ -160,8 +153,12 @@ class ExemplarSet {
   /// Recompute the unprocessed count and first unprocessed index from the
   /// flag array.
   void recount_flags();
+  /// Exemplar i's 260 wire bytes.
+  [[nodiscard]] const std::byte* at(std::size_t i) const;
 
-  Wire wire_;                            // size * kStride, wire layout
+  /// The wire image in order, each segment a whole number of exemplars and
+  /// none empty.
+  std::vector<pvm::SharedBytes> segs_;
   std::vector<std::uint8_t> processed_;  // size
   std::size_t unprocessed_ = 0;
   std::size_t first_unprocessed_ = 0;

@@ -45,7 +45,7 @@ sim::Co<void> PvmOpt::master_main(pvm::Task& t) {
   result_.start_time = eng.now();
 
   // Build the training set and distribute it equally (§4.0), packing each
-  // share straight from the set's wire image.
+  // share by reference to the set's wire image.
   {
     sim::Rng rng(cfg_.seed);
     const ExemplarSet data =
@@ -57,7 +57,7 @@ sim::Co<void> PvmOpt::master_main(pvm::Task& t) {
     std::size_t first = 0;
     for (int s = 0; s < cfg_.nslaves; ++s) {
       const std::size_t count = shares[static_cast<std::size_t>(s)];
-      t.initsend().pk_float(data.to_wire(first, count));
+      t.initsend().pk_float_image(data.image(first, count));
       first += count;
       co_await t.send(slave_tids_[static_cast<std::size_t>(s)], kTagData);
     }
@@ -96,9 +96,7 @@ sim::Co<void> PvmOpt::master_main(pvm::Task& t) {
 sim::Co<void> PvmOpt::slave_main(pvm::Task& t) {
   // Receive my slice of the exemplars.
   co_await t.recv(pvm::kAny, kTagData);
-  ExemplarSet::Wire wire(t.rbuf().next_count());
-  t.rbuf().upk_float(wire);
-  ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
+  ExemplarSet mine = ExemplarSet::adopt(t.rbuf().upk_float_image());
   // The process image now holds the slice plus net + gradient buffers —
   // what an MPVM migration must move.
   t.process().image().data_bytes = mine.bytes();

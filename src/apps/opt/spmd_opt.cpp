@@ -38,13 +38,13 @@ sim::Co<void> SpmdOpt::master_main(upvm::Ulp& u) {
     result_.data_checksum = data.checksum();
     u.set_data_bytes(data.bytes() + Network::bytes());
 
-    // Pack each share straight from the set's wire image.
+    // Pack each share by reference to the set's wire image.
     const std::vector<std::size_t> shares = adm::equal_shares(
         data.size(), static_cast<std::size_t>(cfg_.nslaves));
     std::size_t first = 0;
     for (int s = 0; s < cfg_.nslaves; ++s) {
       const std::size_t count = shares[static_cast<std::size_t>(s)];
-      u.initsend().pk_float(data.to_wire(first, count));
+      u.initsend().pk_float_image(data.image(first, count));
       first += count;
       co_await u.send(slave_inst(s), kTagData);
     }
@@ -81,9 +81,7 @@ sim::Co<void> SpmdOpt::master_main(upvm::Ulp& u) {
 
 sim::Co<void> SpmdOpt::slave_main(upvm::Ulp& u) {
   co_await u.recv(0, kTagData);
-  ExemplarSet::Wire wire(u.rbuf().next_count());
-  u.rbuf().upk_float(wire);
-  ExemplarSet mine = ExemplarSet::from_wire(std::move(wire));
+  ExemplarSet mine = ExemplarSet::adopt(u.rbuf().upk_float_image());
   u.set_data_bytes(mine.bytes());
   u.set_heap_bytes(2 * Network::bytes());
   if (++slaves_ready_count_ >= cfg_.nslaves) slaves_ready_.fire();

@@ -1,5 +1,6 @@
 #include "pvm/buffer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -119,11 +120,26 @@ std::uint32_t Buffer::crc32() const noexcept {
 }
 
 void Buffer::corrupt_bit(std::size_t bit_index) {
-  // The arena is the pack-order concatenation of every item's encoded
-  // bytes, so the historical "index into the concatenation" semantics are
-  // a direct index into it.
-  if (!p_ || p_->data.empty()) return;
+  if (!p_ || p_->total_bytes == p_->items.size() * kItemHeaderBytes) return;
   Payload& p = writable();
+  // Copy referenced items into the (now private) arena, in pack order, so
+  // that the arena is the concatenation of every item's encoded bytes and
+  // the flip lands in this payload's own bytes, never in a shared image.
+  if (std::any_of(p.items.begin(), p.items.end(),
+                  [](const Item& it) { return it.ref != nullptr; })) {
+    sim::UninitVector<std::byte> data(p.total_bytes -
+                                      p.items.size() * kItemHeaderBytes);
+    std::size_t off = 0;
+    for (Item& it : p.items) {
+      if (it.size != 0) std::memcpy(data.data() + off, payload(it), it.size);
+      it.offset = off;
+      it.ref.reset();
+      off += it.size;
+    }
+    p.data = std::move(data);
+  }
+  // The historical "index into the concatenation" semantics are a direct
+  // index into the arena.
   const std::size_t byte_index = (bit_index / 8) % p.data.size();
   const auto mask = static_cast<std::byte>(1u << (bit_index % 8));
   p.data[byte_index] ^= mask;
@@ -196,6 +212,15 @@ void Buffer::pk_double(std::span<const double> v) {
   pack_scalar_array(Tag::kDouble, v);
 }
 
+void Buffer::pk_float_image(SharedBytes image) {
+  CPE_EXPECTS(enc_ == Encoding::kDefault);
+  CPE_EXPECTS(image.size % sizeof(float) == 0);
+  Payload& p = writable();
+  p.total_bytes += kItemHeaderBytes + image.size;
+  p.items.push_back(Item{Tag::kFloat, image.size / sizeof(float),
+                         p.data.size(), image.size, std::move(image.data)});
+}
+
 void Buffer::pk_byte(std::span<const std::byte> v) {
   // Bytes are encoding-invariant: straight copy either way.
   Payload& p = writable();
@@ -247,6 +272,15 @@ std::string Buffer::upk_str() {
   std::string s(item.size, '\0');
   if (item.size != 0) std::memcpy(s.data(), payload(item), item.size);
   return s;
+}
+
+SharedBytes Buffer::upk_float_image() {
+  CPE_EXPECTS(enc_ == Encoding::kDefault);
+  const Item& item = expect(Tag::kFloat, next_count());
+  if (item.ref) return {item.ref, item.size};
+  // An arena item: the view shares the payload, so a later pack into this
+  // buffer clones the payload instead of moving these bytes.
+  return {std::shared_ptr<const std::byte>(p_, payload(item)), item.size};
 }
 
 std::size_t Buffer::next_count() const noexcept {

@@ -9,6 +9,13 @@
 // A message body is packed once and then only read, so copies of a Buffer
 // share its encoded payload and keep only their own unpack cursor; a pack or
 // corrupt_bit() on a shared payload clones it first (DESIGN.md §13.3).
+//
+// A float item whose XDR image already exists (Opt's exemplars are stored
+// that way) can be packed by reference to it and unpacked as a view of it
+// (pk_float_image / upk_float_image): the Buffer shares the image instead
+// of encoding a copy, and every reader sees the same bytes an encoded copy
+// would hold.  The only copy of a referenced image is made by corrupt_bit(),
+// which flips a bit in a private copy and never in the shared block.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +48,15 @@ enum class Encoding : std::uint8_t {
   }
   return "?";
 }
+
+/// An immutable run of encoded bytes with shared ownership: the XDR image of
+/// a float item that a Buffer packs by reference or hands out as a view.
+/// `data` may point into a larger block, which it keeps alive; copies share
+/// the bytes, and nothing writes bytes that are shared.
+struct SharedBytes {
+  std::shared_ptr<const std::byte> data;
+  std::size_t size = 0;  ///< bytes
+};
 
 class Buffer {
  public:
@@ -85,6 +101,12 @@ class Buffer {
   void pk_float(float v) { pk_float(std::span<const float>(&v, 1)); }
   void pk_double(double v) { pk_double(std::span<const double>(&v, 1)); }
 
+  /// Pack a float item by reference: `image` is the XDR (big-endian) wire
+  /// image of image.size / 4 floats, shared instead of copied.  bytes(),
+  /// crc32(), upk_float() and the frame CRC see exactly what pk_float() of
+  /// those floats would give.  Default encoding only.
+  void pk_float_image(SharedBytes image);
+
   // -- Unpacking (sequential, checked) --------------------------------------
   void upk_int(std::span<std::int32_t> out);
   void upk_uint(std::span<std::uint32_t> out);
@@ -93,6 +115,12 @@ class Buffer {
   void upk_double(std::span<double> out);
   void upk_byte(std::span<std::byte> out);
   [[nodiscard]] std::string upk_str();
+  /// Unpack a float item as a shared view of its XDR wire image (4 bytes
+  /// per float, big-endian), whether the item was encoded into this buffer
+  /// or packed by reference: no bytes are decoded or copied.  The view keeps
+  /// the bytes alive and unchanged after the buffer is gone or packed into.
+  /// Default encoding only.
+  [[nodiscard]] SharedBytes upk_float_image();
 
   [[nodiscard]] std::int32_t upk_int() {
     std::int32_t v;
@@ -136,7 +164,8 @@ class Buffer {
   /// modulo the total encoded size).  Type tags and counts are left intact —
   /// the damage is to data, detectable only by a content checksum.  No-op on
   /// a buffer with no encoded bytes.  Copies sharing the payload keep the
-  /// original bytes.
+  /// original bytes, and items packed by reference are first copied into
+  /// this buffer's own arena, so the flip never writes a shared block.
   void corrupt_bit(std::size_t bit_index);
 
   /// Reset the unpack cursor to the first item.
@@ -159,16 +188,18 @@ class Buffer {
   };
   static constexpr const char* tag_name(Tag t);
 
-  /// Item payloads live in one contiguous arena, appended in pack order;
-  /// each Item records only its [offset, offset+size) window.  One
-  /// allocation amortized across all items instead of one vector per item,
-  /// and the arena IS the pack-order concatenation of encoded bytes — so
-  /// crc32() and corrupt_bit() index it directly.
+  /// Encoded item payloads live in one contiguous arena, appended in pack
+  /// order; each Item records only its [offset, offset+size) window.  One
+  /// allocation amortized across all items instead of one vector per item.
+  /// An item packed by reference holds its image in `ref` instead and takes
+  /// no arena bytes; without such items the arena IS the pack-order
+  /// concatenation of encoded bytes, which corrupt_bit() indexes.
   struct Item {
     Tag tag;
     std::size_t count;   ///< elements
-    std::size_t offset;  ///< into Payload::data
+    std::size_t offset;  ///< into Payload::data (unused when ref is set)
     std::size_t size;    ///< encoded byte length
+    std::shared_ptr<const std::byte> ref = {};  ///< referenced image, or null
   };
 
   /// The encoded message, shared by every copy of the Buffer.
@@ -190,7 +221,7 @@ class Buffer {
     return p.data.data() + off;
   }
   [[nodiscard]] const std::byte* payload(const Item& it) const noexcept {
-    return p_->data.data() + it.offset;
+    return it.ref ? it.ref.get() : p_->data.data() + it.offset;
   }
 
   template <class T>

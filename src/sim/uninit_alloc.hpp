@@ -2,8 +2,7 @@
 //
 // std::vector<T>(n) and resize(n) value-initialize what they add, which for
 // a trivial T is a memset.  Where the new elements are overwritten at once
-// (a pack encoding into its arena, a receiver unpacking a message, a
-// generator writing every sample), that memset is wasted: with this
+// (a pvm::Buffer encoding into its arena), that memset is wasted: with this
 // allocator the same calls leave the storage uninitialized.  Construction
 // with arguments (push_back, insert, assign) is unchanged.
 #pragma once

@@ -9,17 +9,29 @@
 namespace cpe::opt {
 namespace {
 
+constexpr std::size_t kExemplarBytes = calib::OptWorkload::exemplar_bytes;
+
+/// Word w of the big-endian wire image at `p`, as bits.
+std::uint32_t wire_word(const std::byte* p, std::size_t w) {
+  std::uint32_t v = 0;
+  for (std::size_t k = 0; k < 4; ++k)
+    v = v << 8 | std::to_integer<std::uint32_t>(p[w * 4 + k]);
+  return v;
+}
+
 /// checksum() recomputed from the wire image: the sum over exemplars of
 /// FNV-1a over the 64 feature bit patterns, then the category.
 std::uint64_t fnv_recomputed(const ExemplarSet& s) {
-  const std::span<const float> wire = s.to_wire();
+  const pvm::SharedBytes wire = s.image();
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < s.size(); ++i) {
-    const float* e = wire.data() + i * ExemplarSet::kStride;
+    const std::byte* e = wire.data.get() + i * kExemplarBytes;
     std::uint64_t h = 1469598103934665603ull;
     for (std::size_t d = 0; d < ExemplarSet::kStride; ++d) {
-      h ^= d < kInputDim ? std::bit_cast<std::uint32_t>(e[d])
-                         : static_cast<std::uint32_t>(e[d]);
+      const std::uint32_t w = wire_word(e, d);
+      h ^= d < kInputDim
+               ? w
+               : static_cast<std::uint32_t>(std::bit_cast<float>(w));
       h *= 1099511628211ull;
     }
     sum += h;
@@ -53,7 +65,7 @@ TEST(ExemplarSet, CategoriesInRange) {
 TEST(ExemplarSet, WireRoundTrip) {
   sim::Rng rng(3);
   ExemplarSet s = ExemplarSet::synthesize(50, rng);
-  ExemplarSet back = ExemplarSet::from_wire(s.to_wire());
+  ExemplarSet back = ExemplarSet::adopt(s.image());
   EXPECT_EQ(back.size(), s.size());
   EXPECT_EQ(back.checksum(), s.checksum());
 }
@@ -98,9 +110,11 @@ TEST(ExemplarSet, SplitConservesEverything) {
   std::uint64_t sum_after = 0;
   std::size_t first = 0;
   for (const std::size_t count : shares) {
-    const std::span<const float> window = s.to_wire(first, count);
-    EXPECT_EQ(window.data(), s.features(first).data());  // a view, no copy
-    const ExemplarSet part = ExemplarSet::from_wire(window);
+    const pvm::SharedBytes window = s.image(first, count);
+    EXPECT_EQ(window.size, count * kExemplarBytes);
+    EXPECT_EQ(window.data.get(),  // a view, no copy
+              s.image().data.get() + first * kExemplarBytes);
+    const ExemplarSet part = ExemplarSet::adopt(window);
     ASSERT_EQ(part.size(), count);
     EXPECT_EQ(part.category(count - 1), s.category(first + count - 1));
     sum_after += part.checksum();
@@ -108,7 +122,7 @@ TEST(ExemplarSet, SplitConservesEverything) {
   }
   EXPECT_EQ(first, s.size());
   EXPECT_EQ(sum_after, s.checksum());  // checksums are additive
-  EXPECT_THROW((void)s.to_wire(100, 2), ContractError);
+  EXPECT_THROW((void)s.image(100, 2), ContractError);
 }
 
 TEST(ExemplarSet, ProcessedFlagsLifecycle) {
@@ -128,8 +142,7 @@ TEST(ExemplarSet, FlagsImageRoundTrip) {
   s.mark_processed(1);
   s.mark_processed(4);
   const std::vector<std::uint8_t> img = s.flags_image();
-  ExemplarSet copy = ExemplarSet::from_wire(s.to_wire());
-  copy.load_flags(img);
+  const ExemplarSet copy = ExemplarSet::adopt(s.image(), img);
   EXPECT_TRUE(copy.processed(1));
   EXPECT_TRUE(copy.processed(4));
   EXPECT_FALSE(copy.processed(0));
@@ -187,11 +200,14 @@ TEST(ExemplarSet, SynthesizedContentIsPinned) {
 TEST(ExemplarSet, StoredLayoutIsTheWireImage) {
   sim::Rng rng(11);
   const ExemplarSet s = ExemplarSet::synthesize(20, rng);
-  const std::span<const float> wire = s.to_wire();
-  ASSERT_EQ(wire.size(), s.size() * ExemplarSet::kStride);
+  const pvm::SharedBytes wire = s.image();
+  ASSERT_EQ(wire.size, s.size() * kExemplarBytes);
   for (std::size_t i = 0; i < s.size(); ++i) {
-    EXPECT_EQ(wire.data() + i * ExemplarSet::kStride, s.features(i).data());
-    EXPECT_EQ(wire[i * ExemplarSet::kStride + kInputDim],
+    const std::byte* e = wire.data.get() + i * kExemplarBytes;
+    const ExemplarSet::Features f = s.features(i);
+    for (std::size_t d = 0; d < kInputDim; ++d)
+      EXPECT_EQ(wire_word(e, d), std::bit_cast<std::uint32_t>(f[d]));
+    EXPECT_EQ(std::bit_cast<float>(wire_word(e, kInputDim)),
               static_cast<float>(s.category(i)));
   }
 }
@@ -199,10 +215,9 @@ TEST(ExemplarSet, StoredLayoutIsTheWireImage) {
 TEST(ExemplarSet, FromWireAdoptsTheVector) {
   sim::Rng rng(12);
   const ExemplarSet s = ExemplarSet::synthesize(9, rng);
-  ExemplarSet::Wire wire(s.to_wire().begin(), s.to_wire().end());
-  const float* storage = wire.data();
-  const ExemplarSet back = ExemplarSet::from_wire(std::move(wire));
-  EXPECT_EQ(back.to_wire().data(), storage);
+  const pvm::SharedBytes wire = s.image();
+  const ExemplarSet back = ExemplarSet::adopt(wire);
+  EXPECT_EQ(back.image().data.get(), wire.data.get());
   EXPECT_EQ(back.checksum(), s.checksum());
   EXPECT_EQ(back.unprocessed_count(), 9u);
 }
@@ -217,7 +232,7 @@ TEST(ExemplarSet, RememberedChecksumEqualsTheRecomputation) {
   ExemplarSet more = ExemplarSet::synthesize(30, rng);
   tail.append(more);  // both checksums known: they add
   EXPECT_EQ(tail.checksum(), fnv_recomputed(tail));
-  ExemplarSet adopted = ExemplarSet::from_wire(s.to_wire());
+  ExemplarSet adopted = ExemplarSet::adopt(s.image());
   adopted.append(tail);  // one unknown: recomputed on demand
   EXPECT_EQ(adopted.size(), 230u);
   EXPECT_EQ(adopted.checksum(), fnv_recomputed(adopted));

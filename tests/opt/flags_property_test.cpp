@@ -3,12 +3,18 @@
 // its flag array; after every mutation both must agree with the array, and
 // GradientKernel::chunk, which starts at the cursor, must mark the same
 // exemplars in the same order as the scan from index 0 it replaced.
+//
+// Its segmented twin checks the storage under that bookkeeping: sets built
+// from many blocks by take_back, append and adopt must read, hash and flag
+// exactly like a contiguous reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <vector>
 
+#include "apps/opt/adm_opt.hpp"
 #include "apps/opt/kernel.hpp"
 
 namespace cpe::opt {
@@ -164,19 +170,20 @@ TEST_P(FlagBookkeeping, MatchesTheFlagArrayAndTheScanFromZero) {
       }
       case 5: {
         const std::vector<std::uint8_t> flags = random_flags(rng, n);
-        t.fast.load_flags(flags);
-        t.ref.load_flags(flags);
+        t.fast = ExemplarSet::adopt(t.fast.image(), flags);
+        t.ref = ExemplarSet::adopt(t.ref.image(), flags);
         break;
       }
-      case 6:  // from_wire(span): copies the image, flags clear
-        t.fast = ExemplarSet::from_wire(t.fast.to_wire());
-        t.ref = ExemplarSet::from_wire(t.ref.to_wire());
+      case 6:  // adopt(image()): shares the image, flags clear
+        t.fast = ExemplarSet::adopt(t.fast.image());
+        t.ref = ExemplarSet::adopt(t.ref.image());
         break;
-      case 7: {  // from_wire(Wire&&): adopts the image, flags clear
-        ExemplarSet::Wire wf(t.fast.to_wire().begin(), t.fast.to_wire().end());
-        ExemplarSet::Wire wr(t.ref.to_wire().begin(), t.ref.to_wire().end());
-        t.fast = ExemplarSet::from_wire(std::move(wf));
-        t.ref = ExemplarSet::from_wire(std::move(wr));
+      case 7: {  // adopt the view a message unpacks: flags clear
+        pvm::Buffer bf, br;
+        bf.pk_float_image(t.fast.image());
+        br.pk_float_image(t.ref.image());
+        t.fast = ExemplarSet::adopt(bf.upk_float_image());
+        t.ref = ExemplarSet::adopt(br.upk_float_image());
         break;
       }
       default:
@@ -207,13 +214,12 @@ TEST(AdmFlagBookkeeping, ChunkMoveAppendChunk) {
   sender.check();
   receiver.check();
 
-  // The batch crosses the wire the way unpack_move rebuilds it: features
-  // adopted from the unpacked image, then the shipped flags.
+  // The batch crosses the wire as a kTagMove body: the unpacked image is
+  // adopted with the shipped flags.
   const auto ship = [](const ExemplarSet& batch) {
-    ExemplarSet::Wire wire(batch.to_wire().begin(), batch.to_wire().end());
-    ExemplarSet arrived = ExemplarSet::from_wire(std::move(wire));
-    arrived.load_flags(batch.flags_image());
-    return arrived;
+    pvm::Buffer b;
+    pack_move(b, batch);
+    return unpack_move(b);
   };
   const ExemplarSet fast_batch = ship(sender.fast.take_back(250));
   const ExemplarSet ref_batch = ship(sender.ref.take_back(250));
@@ -233,6 +239,155 @@ TEST(AdmFlagBookkeeping, ChunkMoveAppendChunk) {
   sender.chunk(kernel, net, 600);
   sender.check();
 }
+
+/// The contiguous reference for a segmented set: decoded exemplars and
+/// flags in one array each.
+struct Contiguous {
+  std::vector<ExemplarSet::Features> features;
+  std::vector<int> category;
+  std::vector<std::uint8_t> flags;
+
+  static Contiguous of(const ExemplarSet& s) {
+    Contiguous c;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      c.features.push_back(s.features(i));
+      c.category.push_back(s.category(i));
+    }
+    c.flags = s.flags_image();
+    return c;
+  }
+  [[nodiscard]] std::size_t size() const { return flags.size(); }
+  [[nodiscard]] Contiguous take_back(std::size_t count) {
+    const auto keep = static_cast<std::ptrdiff_t>(size() - count);
+    Contiguous out;
+    out.features.assign(features.begin() + keep, features.end());
+    out.category.assign(category.begin() + keep, category.end());
+    out.flags.assign(flags.begin() + keep, flags.end());
+    features.resize(static_cast<std::size_t>(keep));
+    category.resize(static_cast<std::size_t>(keep));
+    flags.resize(static_cast<std::size_t>(keep));
+    return out;
+  }
+  void append(const Contiguous& o) {
+    features.insert(features.end(), o.features.begin(), o.features.end());
+    category.insert(category.end(), o.category.begin(), o.category.end());
+    flags.insert(flags.end(), o.flags.begin(), o.flags.end());
+  }
+  [[nodiscard]] Contiguous range(std::size_t first, std::size_t count) const {
+    const auto a = static_cast<std::ptrdiff_t>(first);
+    const auto b = static_cast<std::ptrdiff_t>(first + count);
+    Contiguous out;
+    out.features.assign(features.begin() + a, features.begin() + b);
+    out.category.assign(category.begin() + a, category.begin() + b);
+    out.flags.assign(count, 0);
+    return out;
+  }
+  /// checksum()'s definition, one exemplar at a time.
+  [[nodiscard]] std::uint64_t checksum() const {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < size(); ++i) {
+      std::uint64_t h = 1469598103934665603ull;
+      for (const float f : features[i])
+        h = (h ^ std::bit_cast<std::uint32_t>(f)) * 1099511628211ull;
+      sum += (h ^ static_cast<std::uint32_t>(category[i])) * 1099511628211ull;
+    }
+    return sum;
+  }
+};
+
+void expect_matches(const ExemplarSet& s, const Contiguous& c) {
+  ASSERT_EQ(s.size(), c.size());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const ExemplarSet::Features f = s.features(i);
+    EXPECT_EQ(std::memcmp(f.data(), c.features[i].data(), sizeof f), 0)
+        << "exemplar " << i;
+    EXPECT_EQ(s.category(i), c.category[i]) << "exemplar " << i;
+  }
+  EXPECT_EQ(s.flags_image(), c.flags);
+  expect_bookkeeping(s);
+  // Both the remembered checksum and one recomputed from the bytes.
+  EXPECT_EQ(s.checksum(), c.checksum());
+  EXPECT_EQ(ExemplarSet::adopt(s.image()).checksum(), c.checksum());
+}
+
+class SegmentedSets : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SegmentedSets, MatchAContiguousReference) {
+  sim::Rng rng(GetParam());
+  // A fresh set with some flags set, and its reference.
+  const auto fresh = [&rng] {
+    ExemplarSet s = ExemplarSet::synthesize(rng.below(60), rng);
+    for (std::size_t i = 0; i < s.size(); ++i)
+      if (rng.chance(0.3)) s.mark_processed(i);
+    return std::pair(s, Contiguous::of(s));
+  };
+  auto [set, ref] = fresh();
+  std::vector<std::pair<ExemplarSet, Contiguous>> spare;
+  for (int step = 0; step < 200; ++step) {
+    const std::size_t n = set.size();
+    switch (rng.below(6)) {
+      case 0: {  // take a batch off the back, keep it for later
+        const std::size_t count = rng.below(n + 1);
+        ExemplarSet tail = set.take_back(count);
+        Contiguous ref_tail = ref.take_back(count);
+        expect_matches(tail, ref_tail);
+        spare.emplace_back(std::move(tail), std::move(ref_tail));
+        break;
+      }
+      case 1: {  // append a kept batch (a piece of some block) or a fresh set
+        std::pair<ExemplarSet, Contiguous> other;
+        if (!spare.empty() && rng.chance(0.7)) {
+          other = std::move(spare.back());
+          spare.pop_back();
+        } else {
+          other = fresh();
+        }
+        set.append(other.first);
+        ref.append(other.second);
+        break;
+      }
+      case 2:  // adopt the image, through a message (flags clear) or with
+               // the set's flags
+        if (rng.chance(0.5)) {
+          pvm::Buffer b;
+          b.pk_float_image(set.image());
+          set = ExemplarSet::adopt(b.upk_float_image());
+          std::fill(ref.flags.begin(), ref.flags.end(), std::uint8_t{0});
+        } else {
+          set = ExemplarSet::adopt(set.image(), set.flags_image());
+        }
+        break;
+      case 3: {  // adopt a random range's image, which may span segments
+        const std::size_t first = rng.below(n + 1);
+        const std::size_t count = rng.below(n - first + 1);
+        const ExemplarSet part = ExemplarSet::adopt(set.image(first, count));
+        expect_matches(part, ref.range(first, count));
+        break;
+      }
+      case 4: {  // a kTagMove round trip of a batch, flags included
+        const std::size_t count = rng.below(n + 1);
+        ExemplarSet tail = set.take_back(count);
+        Contiguous ref_tail = ref.take_back(count);
+        pvm::Buffer b;
+        pack_move(b, tail);
+        spare.emplace_back(unpack_move(b), std::move(ref_tail));
+        break;
+      }
+      default: {  // flags
+        if (n == 0) break;
+        const std::size_t i = rng.below(n);
+        set.mark_processed(i);
+        ref.flags[i] = 1;
+        break;
+      }
+    }
+    expect_matches(set, ref);
+    if (HasFailure()) FAIL() << "seed " << GetParam() << " step " << step;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SegmentedSets,
+                         ::testing::Range<std::uint64_t>(1, 17));
 
 }  // namespace
 }  // namespace cpe::opt

@@ -146,7 +146,7 @@ TEST(Kernel, ChunkProcessesAtMostMaxAndMarks) {
 TEST(Kernel, ChunkOverheadFactorInflatesWork) {
   sim::Rng rng(3);
   ExemplarSet a = ExemplarSet::synthesize(10, rng);
-  ExemplarSet b = ExemplarSet::from_wire(a.to_wire());
+  ExemplarSet b = ExemplarSet::adopt(a.image());
   Network net(1);
   std::vector<float> g(Network::weight_count(), 0.0f);
   GradientKernel k(false);
@@ -159,7 +159,7 @@ TEST(Kernel, ChunkedEqualsOneShotGradient) {
   // Chunked ADM processing must produce the same gradient as one pass.
   sim::Rng rng(13);
   ExemplarSet a = ExemplarSet::synthesize(37, rng);
-  ExemplarSet b = ExemplarSet::from_wire(a.to_wire());
+  ExemplarSet b = ExemplarSet::adopt(a.image());
   Network net(2);
   std::vector<float> g1(Network::weight_count(), 0.0f);
   std::vector<float> g2(Network::weight_count(), 0.0f);

@@ -5,11 +5,16 @@
 // big-endian image of each value (host order for raw), checked through the
 // frame CRC against a bytewise reference, and every value must come back
 // with the same bit pattern.
+//
+// A float item packed by reference to its XDR image (pk_float_image) must
+// be indistinguishable from the encoded item at the same lengths, and
+// corrupting such a buffer must never write the shared image.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -110,6 +115,116 @@ TEST(BufferXdr, Int64ArraysAtEveryLength) {
   check_every_length<std::int64_t>(4);
 }
 TEST(BufferXdr, DoubleArraysAtEveryLength) { check_every_length<double>(5); }
+
+/// A few int32 and byte items, as random as `rng` makes them; `into`
+/// packs them and `sizes` gets each item's encoded length.
+struct Filler {
+  std::vector<std::int32_t> ints;
+  std::vector<std::byte> raw;
+
+  explicit Filler(sim::Rng& rng)
+      : ints(rng.below(4)), raw(rng.below(6)) {
+    for (std::int32_t& v : ints) v = static_cast<std::int32_t>(rng.next_u64());
+    for (std::byte& v : raw) v = static_cast<std::byte>(rng.next_u64());
+  }
+  void into(Buffer& b) const {
+    b.pk_int(ints);
+    b.pk_byte(raw);
+  }
+  void expect_from(Buffer& b) const {
+    std::vector<std::int32_t> i(b.next_count());
+    b.upk_int(i);
+    EXPECT_EQ(i, ints);
+    std::vector<std::byte> r(b.next_count());
+    b.upk_byte(r);
+    EXPECT_EQ(r, raw);
+  }
+  [[nodiscard]] std::size_t encoded_bytes() const {
+    return ints.size() * 4 + raw.size();
+  }
+};
+
+/// FNV-1a over a block's bytes.
+std::uint64_t hash_bytes(std::span<const std::byte> b) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::byte x : b)
+    h = (h ^ std::to_integer<std::uint64_t>(x)) * 1099511628211ull;
+  return h;
+}
+
+TEST(BufferXdr, FloatImageByReferenceReadsAsTheEncodedItem) {
+  sim::Rng rng(6);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 67; ++n) lengths.push_back(n);
+  lengths.push_back(1'000'003);
+  for (const std::size_t n : lengths) {
+    std::vector<float> v(n);
+    for (float& x : v)
+      x = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64()));
+    const std::vector<unsigned char> img =
+        reference_image(std::span<const float>(v), Encoding::kDefault);
+    std::shared_ptr<std::byte[]> block =
+        std::make_shared_for_overwrite<std::byte[]>(img.size());
+    if (!img.empty()) std::memcpy(block.get(), img.data(), img.size());
+    const SharedBytes image{
+        std::shared_ptr<const std::byte>(block, block.get()), img.size()};
+    const Filler before(rng), after(rng);
+
+    Buffer encoded, referenced;
+    before.into(encoded);
+    before.into(referenced);
+    encoded.pk_float(v);
+    referenced.pk_float_image(image);
+    after.into(encoded);
+    after.into(referenced);
+    ASSERT_EQ(referenced.bytes(), encoded.bytes()) << "n = " << n;
+    ASSERT_EQ(referenced.crc32(), encoded.crc32()) << "n = " << n;
+
+    for (Buffer* b : {&encoded, &referenced}) {
+      // Unpacked as floats...
+      Buffer values(*b);
+      before.expect_from(values);
+      ASSERT_EQ(values.next_count(), n);
+      std::vector<float> back(n);
+      values.upk_float(back);
+      ASSERT_EQ(std::memcmp(back.data(), v.data(), n * sizeof(float)), 0)
+          << "n = " << n;
+      after.expect_from(values);
+      EXPECT_TRUE(values.exhausted());
+      // ...and as a view of exactly the item's bytes.
+      Buffer view(*b);
+      before.expect_from(view);
+      const SharedBytes got = view.upk_float_image();
+      ASSERT_EQ(got.size, img.size());
+      if (n != 0) {
+        ASSERT_EQ(std::memcmp(got.data.get(), img.data(), img.size()), 0)
+            << "n = " << n;
+      }
+      after.expect_from(view);
+      if (b == &referenced) {
+        EXPECT_EQ(got.data.get(), image.data.get());
+      }
+    }
+
+    // Corruption copies the referenced image before flipping a bit: the
+    // block hashes the same afterwards, the garbled frame does not.
+    if (n == 0) continue;
+    const std::span<const std::byte> shared(image.data.get(), image.size);
+    const std::uint64_t block_hash = hash_bytes(shared);
+    const std::uint32_t crc = referenced.crc32();
+    const std::size_t image_bit =
+        8 * before.encoded_bytes() + rng.below(8 * n * 4);
+    const std::size_t any_bit = rng.below(referenced.bytes() * 8);
+    for (const std::size_t bit : {image_bit, any_bit}) {
+      Buffer garbled(referenced);
+      garbled.corrupt_bit(bit);
+      EXPECT_NE(garbled.crc32(), crc) << "n = " << n << " bit " << bit;
+      EXPECT_EQ(garbled.bytes(), referenced.bytes());
+      EXPECT_EQ(hash_bytes(shared), block_hash) << "n = " << n;
+      EXPECT_EQ(referenced.crc32(), crc);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cpe::pvm
