@@ -43,6 +43,12 @@
 #                          # the child's rusage and the top self and
 #                          # inclusive symbols of the samples taken inside
 #                          # sim::Engine::run_until (the timed phase)
+#   ci/check.sh census     # coverage census: build the benches, examples
+#                          # and perfbench with gcov into build-census/,
+#                          # run every program once (no tests), print the
+#                          # executable src lines no program reaches, by
+#                          # module and in total, and fail when the total
+#                          # exceeds the ceiling in ci/census_ceiling
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -579,6 +585,77 @@ for title, counts in (("self", self_count), ("inclusive", incl_count)):
 EOF
 }
 
+# Coverage census: which src lines does no program reach?  Only programs
+# run (every bench, the load and service smokes, every example and the
+# three perfbench workloads), never the tests, so code that only tests
+# reach shows as unreached: a deletion candidate unless a test is its
+# stated user, as with fault injection.  A change that raises the count
+# past ci/census_ceiling fails here, and says why in CHANGES.md when it
+# raises the ceiling.
+run_census() {
+  local dir="$PWD/build-census" b e w
+  cmake -S . -B "$dir/build" -DCMAKE_CXX_FLAGS="--coverage -O1" \
+    -DCPE_BUILD_TESTS=OFF > /dev/null
+  cmake --build "$dir/build" -j "$(nproc)" > /dev/null
+  cmake -S perfbench -B "$dir/pb" -DCMAKE_CXX_FLAGS="--coverage -O1" \
+    > /dev/null
+  cmake --build "$dir/pb" -j "$(nproc)" --target perfbench > /dev/null
+  find "$dir" -name '*.gcda' -delete  # count this run's programs only
+  rm -rf "$dir/run" && mkdir -p "$dir/run"
+  (
+    cd "$dir/run"  # benches drop their reports here
+    for b in "$dir"/build/bench/bench_*; do
+      if [[ -f "$b" && -x "$b" ]]; then "$b" > /dev/null 2>&1 || true; fi
+    done
+    "$dir/build/bench/bench_load_scale" --slo > /dev/null 2>&1 || true
+    "$dir/build/bench/bench_service_tail" --smoke > /dev/null 2>&1 || true
+    "$dir/build/bench/bench_sim_throughput" --smoke > /dev/null 2>&1 || true
+    for e in "$dir"/build/examples/*; do
+      if [[ -f "$e" && -x "$e" ]]; then "$e" > /dev/null 2>&1 || true; fi
+    done
+    for w in fleet_churn svc_storm paper_reclaim; do
+      "$dir/pb/perfbench" --workload "$w" --seed 1 --seconds 0 --trace 0 \
+        > /dev/null
+    done
+  )
+  python3 - "$PWD" "$dir" ci/census_ceiling <<'EOF'
+import collections, json, os, subprocess, sys
+
+root, dir, ceiling_file = sys.argv[1:4]
+src = os.path.realpath(root) + "/src/"
+hit = {}  # (file, line) -> reached by any program
+for tree in (os.path.join(dir, "build"), os.path.join(dir, "pb")):
+    for d, _, files in os.walk(tree):
+        for f in (f for f in files if f.endswith(".gcda")):
+            out = subprocess.run(["gcov", "-j", "-t", f], cwd=d,
+                                 capture_output=True, text=True).stdout
+            for doc in filter(str.strip, out.splitlines()):
+                for fi in json.loads(doc)["files"]:
+                    path = os.path.realpath(os.path.join(d, fi["file"]))
+                    if path.startswith(src):
+                        for ln in fi["lines"]:
+                            k = (path[len(src):], ln["line_number"])
+                            hit[k] = hit.get(k, False) or ln["count"] > 0
+if not hit:
+    sys.exit("check.sh census: no coverage data")
+cold = sorted(k for k, h in hit.items() if not h)
+listing = os.path.join(dir, "unreached.txt")
+with open(listing, "w") as f:
+    f.writelines(f"src/{p}:{n}\n" for p, n in cold)
+by_module = collections.Counter(p.split("/")[0] for p, _ in cold)
+print("unreached src lines by module:")
+for m, n in sorted(by_module.items(), key=lambda kv: (-kv[1], kv[0])):
+    print(f"  {m:<8} {n:5}")
+with open(ceiling_file) as f:
+    ceiling = int([l for l in f if l.strip() and not l.startswith("#")][-1])
+print(f"census: {len(cold)} of {len(hit)} executable src lines unreached "
+      f"(ceiling {ceiling}); each one is listed in {listing}")
+if len(cold) > ceiling:
+    sys.exit(f"check.sh census: {len(cold)} unreached lines exceed the "
+             f"ceiling {ceiling}")
+EOF
+}
+
 mode="${1:-all}"
 
 case "$mode" in
@@ -617,6 +694,9 @@ case "$mode" in
     fi
     run_parity "$2"
     ;;
+  census)
+    run_census
+    ;;
   profile)
     if [[ $# -lt 2 || -z "$2" ]]; then
       echo "usage: $0 profile <workload> [seconds]" >&2
@@ -633,7 +713,7 @@ case "$mode" in
     run_bench_slo
     ;;
   *)
-    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|all|digest <rev>|parity <rev>|profile <workload> [seconds]]" >&2
+    echo "usage: $0 [plain|sanitize|tsan|bench|sweeps|audit|slo|census|all|digest <rev>|parity <rev>|profile <workload> [seconds]]" >&2
     exit 2
     ;;
 esac

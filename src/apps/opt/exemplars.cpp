@@ -1,10 +1,13 @@
 #include "apps/opt/exemplars.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
 #include <memory>
+#include <new>
 
 namespace cpe::opt {
 
@@ -88,6 +91,21 @@ std::uint64_t hash_sum(std::size_t n, Feature feature, Category category) {
   return sum;
 }
 
+/// A fresh block of `n` bytes for exemplar images, mapped from the kernel
+/// and unmapped when its last view goes; empty when `n` is 0.  Blocks are
+/// megabytes each, and through malloc they would land wherever glibc's
+/// moving mmap threshold put them, so the heap could keep a freed block's
+/// pages while a later one was mapped beside them.  Huge pages, where the
+/// kernel grants them, cut the first-touch faults of writing a block.
+std::shared_ptr<std::byte[]> map_block(std::size_t n) {
+  if (n == 0) return {};
+  void* p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  ::madvise(p, n, MADV_HUGEPAGE);
+  return {static_cast<std::byte*>(p), [n](std::byte* b) { ::munmap(b, n); }};
+}
+
 /// A shared view of `size` bytes at `p` inside the block `owner` keeps
 /// alive.
 template <class Owner>
@@ -102,8 +120,7 @@ ExemplarSet ExemplarSet::synthesize(std::size_t n, sim::Rng& rng) {
   ExemplarSet set;
   set.processed_.assign(n, 0);
   set.unprocessed_ = n;
-  std::shared_ptr<std::byte[]> block =
-      std::make_shared_for_overwrite<std::byte[]>(n * kBytes);
+  const std::shared_ptr<std::byte[]> block = map_block(n * kBytes);
 
   // Cluster noise on top of the class center, four exemplars at a time:
   // drawn as host floats into a scratch block that stays in L1, hashed
@@ -220,8 +237,7 @@ pvm::SharedBytes ExemplarSet::image(std::size_t first,
   while (off >= s->size) off -= (s++)->size;
   if (off + len <= s->size) return view(s->data, s->data.get() + off, len);
   // The range spans segments: concatenate it once.
-  std::shared_ptr<std::byte[]> block =
-      std::make_shared_for_overwrite<std::byte[]>(len);
+  const std::shared_ptr<std::byte[]> block = map_block(len);
   for (std::size_t done = 0; done < len; ++s, off = 0) {
     const std::size_t n = std::min(s->size - off, len - done);
     std::memcpy(block.get() + done, s->data.get() + off, n);

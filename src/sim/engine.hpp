@@ -5,12 +5,11 @@
 // increasing sequence number breaks ties), so a simulation with a fixed seed
 // replays the exact same trace every run (DESIGN.md invariant 8).
 //
-// Throughput (DESIGN.md §13): the pending set lives in a calendar queue (a
-// hashed timing wheel with an active-window min-heap) instead of a binary
-// heap, cancelled timers are removed lazily and compacted in bulk once stale
-// entries outnumber live ones, and event callbacks are stored in a pooled
-// small-buffer arena so scheduling performs no heap allocation for captures
-// up to EventFn::kInlineBytes.
+// Throughput (DESIGN.md §13): the pending set is a binary min-heap of small
+// (t, seq, slot, gen) entries, cancelled timers are removed lazily and compacted
+// in bulk once stale entries outnumber live ones, and event callbacks are
+// stored in a pooled small-buffer arena so scheduling performs no heap
+// allocation for captures up to EventFn::kInlineBytes.
 #pragma once
 
 #include <algorithm>
@@ -149,7 +148,7 @@ inline const EventFn::Ops EventFn::kHeapOps = {
     /*destroy=*/[](void* buf) noexcept { delete heap_ptr<D>(buf); },
 };
 
-/// One pending (or stale) occupant of the calendar queue.
+/// One pending (or stale) occupant of the event queue.
 struct Entry {
   Time t;
   std::uint64_t seq;
@@ -165,99 +164,41 @@ struct EntryAfter {
   }
 };
 
-/// Calendar queue (hashed timing wheel) over Entry, ordered by (t, seq).
-///
-/// Entries are hashed into buckets by virtual bucket number floor(t/width)
-/// modulo the bucket count.  The *active window* is one virtual bucket wide;
-/// its due entries are kept in a small binary heap (cur_heap_) which resolves
-/// both the within-window order and the FIFO tiebreak at equal timestamps —
-/// so the determinism argument reduces to the binary-heap one.  Invariant:
-/// whenever cur_heap_ is non-empty its top is the global minimum; every
-/// bucketed entry has t >= bucket_top_ (pushes below bucket_top_ go straight
-/// into the heap, which is safe because the engine never schedules into the
-/// past).  A full fruitless lap of the wheel falls back to a direct search
-/// for the minimum and re-anchors the window there, so sparse queues skip
-/// empty years in O(buckets) instead of sweeping time.
-class CalendarQueue {
+/// The pending set: a binary min-heap on (t, seq) in one vector.  (t, seq)
+/// is a total order, so the pop sequence is fixed by the pushes alone.
+class EventQueue {
  public:
-  void push(Entry e);
+  void push(Entry e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+  }
 
-  /// Smallest entry, or nullptr when empty.  Positions the active window.
-  [[nodiscard]] const Entry* peek();
+  /// Smallest entry, or nullptr when empty.
+  [[nodiscard]] const Entry* peek() const noexcept {
+    return heap_.empty() ? nullptr : heap_.data();
+  }
 
   /// Remove and return the smallest entry.  Pre: !empty().
-  Entry pop();
-
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-
-  /// Best-effort peek at the *next* minimum after a pop, without positioning
-  /// work: non-null only while the active-window heap is non-empty.  Used by
-  /// Engine::step to prefetch the next event's slot while the current
-  /// callback runs.
-  [[nodiscard]] const Entry* next_hint() const noexcept {
-    return cur_heap_.empty() ? nullptr : cur_heap_.data();
+  Entry pop() {
+    CPE_ASSERT(!heap_.empty());
+    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
+    const Entry e = heap_.back();
+    heap_.pop_back();
+    return e;
   }
+
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
 
   /// In-place bulk removal of entries failing `alive`; never allocates, so
   /// it is callable from noexcept paths (Engine::cancel's compaction).
   template <class Pred>
   void retain(Pred alive) noexcept {
-    const auto filter = [&](std::vector<Entry>& v) noexcept {
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < v.size(); ++r) {
-        if (alive(v[r])) v[w++] = v[r];
-      }
-      count_ -= v.size() - w;
-      v.resize(w);
-    };
-    filter(cur_heap_);
-    std::make_heap(cur_heap_.begin(), cur_heap_.end(), EntryAfter{});
-    for (std::vector<Entry>& b : buckets_) filter(b);
-    filter(overflow_);
-    std::make_heap(overflow_.begin(), overflow_.end(), EntryAfter{});
+    std::erase_if(heap_, [&](const Entry& e) noexcept { return !alive(e); });
+    std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
   }
 
  private:
-  // Virtual buckets past this never index the wheel: their timestamps are so
-  // far out (t/width >= 2^62) that double->uint64 conversion would be lossy
-  // or undefined.  They wait in overflow_ until a direct search adopts one.
-  static constexpr double kMaxVirtualBucket = 4.6e18;
-  static constexpr std::size_t kMinBuckets = 16;
-
-  void init_if_needed();
-  /// Virtual bucket v of a wheel-mappable `t`, chosen so that
-  /// v * width_ <= t < (v + 1) * width_ holds for the products the window
-  /// bounds use, not just for the quotient.
-  [[nodiscard]] std::uint64_t bucket_of(Time t) const noexcept;
-  /// Route one entry to the heap, a bucket, or overflow.  No bookkeeping.
-  void place(Entry e);
-  /// Park a far-future entry in the overflow min-heap.
-  void push_overflow(Entry e);
-  /// Move overflow entries now due before bucket_top_ into cur_heap_ —
-  /// mandatory after any window advance, or pops could go back in time.
-  void adopt_due_overflow();
-  [[nodiscard]] Time estimate_width(const std::vector<Entry>& all) const;
-  /// Ensure cur_heap_ holds the global minimum; false when the queue is
-  /// empty.  Sweeps the wheel forward, with a direct-search fallback after a
-  /// fruitless lap.
-  bool position();
-  /// Move entries due in the active window from its bucket into cur_heap_.
-  /// Returns true when the heap is non-empty afterwards.
-  bool sweep_bucket();
-  void rebuild(std::size_t nbuckets);
-  void maybe_grow();
-  void maybe_shrink();
-
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> cur_heap_;   // min-heap (EntryAfter) of the active window
-  std::vector<Entry> overflow_;   // min-heap: t too far for the wheel mapping
-  std::size_t mask_ = 0;          // buckets_.size() - 1 (power of two)
-  Time width_ = 1.0;              // virtual bucket width in seconds
-  Time inv_width_ = 1.0;          // 1/width_: place() multiplies, not divides
-  std::uint64_t vcur_ = 0;        // virtual bucket of the active window
-  Time bucket_top_ = 0;           // exclusive upper bound of the window
-  std::size_t count_ = 0;
+  std::vector<Entry> heap_;
 };
 
 }  // namespace detail
@@ -350,7 +291,7 @@ class Engine {
   std::size_t dead_ = 0;  // stale entries still occupying the queue
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  detail::CalendarQueue queue_;
+  detail::EventQueue queue_;
   std::deque<std::exception_ptr> failures_;
 
   friend struct EngineTestPeer;  // tests poke slot generations (wraparound)

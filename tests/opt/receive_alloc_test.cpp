@@ -1,9 +1,11 @@
 // Opt's exemplars are not copied on their way to a slave (DESIGN.md §2):
 // the master packs a share by reference to its synthesized image, and the
 // slave adopts the unpacked view, so receiving a multi-MB share or an ADM
-// move allocates only the flag array and a few words.  Each test runs the
-// send and receive calls the Opt programs make, on the paper's worknet, and
-// bounds what the receive path allocates with a counting allocator.
+// move allocates only the flag array and a few words.  Each VM test runs
+// the send and receive calls the Opt programs make, on the paper's worknet,
+// and bounds what the receive path allocates with a counting allocator.
+// The synthesized image itself is a mapped block, outside the allocator
+// (DESIGN.md §13.3).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,6 +58,16 @@ namespace {
 struct ReceiveAllocVm : cpe::test::WorknetFixture {};
 
 constexpr std::uint64_t kReceiveBudget = 64 * 1024;
+
+TEST(SynthesizeAlloc, TwentyMegabyteImageBypassesOperatorNew) {
+  sim::Rng rng(3);
+  const std::uint64_t before = g_alloc_bytes.load();
+  const ExemplarSet set = ExemplarSet::synthesize(80'000, rng);  // 20.8 MB
+  const std::uint64_t during = g_alloc_bytes.load() - before;
+  EXPECT_EQ(set.bytes(), 20'800'000u);
+  // The flag array (80 KB) and a few words; not the image.
+  EXPECT_LT(during, 1024u * 1024u);
+}
 
 TEST_F(ReceiveAllocVm, PvmOptSlaveAdoptsATenMegabyteShare) {
   sim::Rng rng(1);

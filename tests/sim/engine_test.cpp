@@ -287,8 +287,9 @@ TEST(Engine, ManyEventsStressOrdering) {
 
 TEST(Engine, CancelNeverAllocates) {
   Engine eng;
-  // Warm the arena: slots, free list, and bucket vectors all reach steady
-  // capacity, then every later schedule/cancel recycles pooled storage.
+  // Warm the arena: slots, free list, and the queue's vector all reach
+  // steady capacity, then every later schedule/cancel recycles pooled
+  // storage.
   std::vector<EventId> ids;
   for (int round = 0; round < 3; ++round) {
     ids.clear();
@@ -309,7 +310,8 @@ TEST(Engine, CancelNeverAllocates) {
 TEST(Engine, SmallCaptureSchedulingIsAllocationFreeInSteadyState) {
   Engine eng;
   int fired = 0;
-  // Warm-up: enough schedule/fire cycles to size every calendar bucket.
+  // Warm-up: enough schedule/fire cycles to size the slot arena and the
+  // queue.
   for (int i = 0; i < 64; ++i) {
     eng.schedule_in(1.0, [&fired] { ++fired; });
     eng.run();
@@ -459,7 +461,7 @@ TEST(Engine, SameTimestampBurstFiresFifo) {
     ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(Engine, CalendarMatchesReferenceModelUnderChurn) {
+TEST(Engine, MatchesReferenceModelUnderChurn) {
   // Golden-model fuzz: random schedule/cancel/run_until churn, checked
   // against a from-scratch (t, schedule seq) sort of the survivors.
   Engine eng;
@@ -501,12 +503,11 @@ TEST(Engine, CalendarMatchesReferenceModelUnderChurn) {
   EXPECT_EQ(fired, expect);
 }
 
-TEST(Engine, OverflowEntriesFireInOrderAsWindowAdvances) {
-  // Bimodal offsets: mostly near-future events keep the calendar width
-  // tight, while occasional far-future pushes land past the wheel mapping
-  // and park in the overflow heap.  As the window advances those parked
-  // entries must be adopted *before* any later-timestamped bucket entry —
-  // the golden-model comparison catches any out-of-order pop.
+TEST(Engine, FarFutureEntriesFireInOrderAmongNearOnes) {
+  // Bimodal offsets: mostly near-future events, with occasional pushes
+  // thousands of seconds out that wait under many rounds of near ones.
+  // Every entry must fire in (t, schedule order) — the golden-model
+  // comparison catches any out-of-order pop.
   Engine eng;
   std::mt19937_64 rng(0xBADCAB1Eu);
   std::vector<std::pair<double, int>> fired;
@@ -531,19 +532,16 @@ TEST(Engine, OverflowEntriesFireInOrderAsWindowAdvances) {
   EXPECT_EQ(fired, expect);
 }
 
-TEST(Engine, CalendarBucketEdgesNeverPopALapLate) {
+TEST(Engine, PeriodicTimersPopInTimeOrder) {
   // Golden-model fuzz straight over the queue: 2-40 timers with integer
-  // periods (GS polls, heartbeats, analytics windows) plus random one-shots
-  // that keep the bucket width moving.  Integer timestamps keep landing
-  // exactly on a bucket edge v * width, where a bucket index taken as
-  // floor(t * (1 / width)) can fall one below the window whose bound is the
-  // product (v + 1) * width — and such an entry pops a whole lap late.  A
-  // min-queue must hand out (t, seq) in non-decreasing order.
+  // periods (GS polls, heartbeats, analytics windows) plus random
+  // one-shots, so many entries share a timestamp.  A min-queue must hand
+  // out (t, seq) in non-decreasing order.
   constexpr std::uint32_t kOneShot = ~0u;
   std::string out_of_order;
   for (std::uint64_t seed = 0; seed < 2000; ++seed) {
     std::mt19937_64 rng(seed);
-    detail::CalendarQueue q;
+    detail::EventQueue q;
     std::uint64_t seq = 0;
     std::vector<double> period(2 + rng() % 39);
     for (std::size_t i = 0; i < period.size(); ++i) {
